@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from . import specfun
 from .spectra import ProblemKind, Provenance, Spectrum
-from .specfun._zeros import jv_zeros_below, scan_zeros
+from .specfun._zeros import scan_zeros
 
 
 def unit_ball_volume(n: int) -> float:
@@ -72,7 +72,7 @@ def dirichlet_ball(spec: BallSpec, count: int) -> Spectrum:
         ell = 0
         while nu0 + ell < zcut:  # j_{nu,1} > nu, so higher degrees cannot contribute
             nu = nu0 + ell
-            zs = jv_zeros_below(specfun._impl.bessel_j, specfun._impl.bessel_j_pair, nu, zcut)
+            zs = specfun.bessel_zeros_below(nu, zcut)
             if not zs:
                 break
             mult = harmonic_multiplicity(n, ell)
@@ -105,8 +105,8 @@ def clamped_radial_root(n: int, ell: int, k: int = 1) -> float:
     scan overflow-free (positive rescaling preserves the roots).
     """
     nu = n / 2.0 - 1.0 + ell
-    jpair = specfun._impl.bessel_j_pair
-    ipair = specfun._impl.bessel_i_scaled_pair
+    jpair = specfun.bessel_j_pair
+    ipair = specfun.bessel_i_scaled_pair
 
     def f(x):
         jv, jv1 = jpair(nu, x)

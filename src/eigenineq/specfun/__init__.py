@@ -1,28 +1,19 @@
 """Bessel functions of the first kind, modified Bessel functions, and zeros.
 
-Evaluation kernels exist twice: a compiled Cython module (``_kernels``)
-and a pure-Python mirror (``_pure``). The compiled one is preferred at
-import; set ``EIGENINEQ_PURE=1`` to force the fallback. All functions are
-pure and safe to call concurrently.
+Values come from ``scipy.special`` (``jv``, ``iv``, ``ive``); this module
+adds argument validation, the I_v overflow guard, derivatives, and zeros
+by scan-bracketing plus safeguarded Newton (``_zeros``), which, unlike
+``scipy.special.jn_zeros``, handles the half-integer orders of odd
+dimensions. All functions are pure and safe to call concurrently.
 """
 
 import math
-import os
 from dataclasses import dataclass
 
-from . import _pure
+from scipy import special
+
 from ._zeros import jv_zeros, radial_neumann_roots
 from .errors import ConvergenceError, RangeError
-
-try:
-    from . import _kernels
-except ImportError:  # pragma: no cover - build-environment dependent
-    _kernels = None
-
-if _kernels is not None and not os.environ.get("EIGENINEQ_PURE"):
-    _impl = _kernels
-else:
-    _impl = _pure
 
 _I_OVERFLOW_GUARD = 500.0
 
@@ -30,7 +21,6 @@ __all__ = [
     "BesselZero",
     "ConvergenceError",
     "RangeError",
-    "backend_name",
     "bessel_i",
     "bessel_i_deriv",
     "bessel_i_scaled_pair",
@@ -40,12 +30,8 @@ __all__ = [
     "bessel_j_pair",
     "bessel_zero",
     "bessel_zeros",
+    "bessel_zeros_below",
 ]
-
-
-def backend_name():
-    """Which kernel implementation is active: 'compiled' or 'pure'."""
-    return "pure" if _impl is _pure else "compiled"
 
 
 def _check_order_arg(v, x):
@@ -60,13 +46,13 @@ def _check_order_arg(v, x):
 def bessel_j(v: float, x: float) -> float:
     """Bessel function of the first kind J_v(x), v >= 0, x >= 0."""
     _check_order_arg(v, x)
-    return _impl.bessel_j(v, x)
+    return float(special.jv(v, x))
 
 
 def bessel_j_pair(v: float, x: float):
-    """(J_v(x), J_{v+1}(x)), evaluated consistently from one kernel call."""
+    """(J_v(x), J_{v+1}(x))."""
     _check_order_arg(v, x)
-    return _impl.bessel_j_pair(v, x)
+    return float(special.jv(v, x)), float(special.jv(v + 1.0, x))
 
 
 def bessel_j_deriv(v: float, x: float) -> float:
@@ -78,7 +64,7 @@ def bessel_j_deriv(v: float, x: float) -> float:
         if v == 0.0 or v > 1.0:
             return 0.0
         raise ValueError(f"J_v'(0) diverges for 0 < v < 1 (v={v})")
-    jv, jv1 = _impl.bessel_j_pair(v, x)
+    jv, jv1 = bessel_j_pair(v, x)
     return (v / x) * jv - jv1
 
 
@@ -87,13 +73,13 @@ def bessel_i(v: float, x: float) -> float:
     _check_order_arg(v, x)
     if x > _I_OVERFLOW_GUARD:
         raise RangeError(f"I_v argument {x} exceeds the overflow guard {_I_OVERFLOW_GUARD}")
-    return _impl.bessel_i(v, x)
+    return float(special.iv(v, x))
 
 
 def bessel_i_scaled_pair(v: float, x: float):
     """(e^-x I_v(x), e^-x I_{v+1}(x)); safe for any finite x >= 0."""
     _check_order_arg(v, x)
-    return _impl.bessel_i_scaled_pair(v, x)
+    return float(special.ive(v, x)), float(special.ive(v + 1.0, x))
 
 
 def bessel_i_deriv(v: float, x: float) -> float:
@@ -107,7 +93,7 @@ def bessel_i_deriv(v: float, x: float) -> float:
         if v == 0.0 or v > 1.0:
             return 0.0
         raise ValueError(f"I_v'(0) diverges for 0 < v < 1 (v={v})")
-    return (v / x) * _impl.bessel_i(v, x) + _impl.bessel_i(v + 1.0, x)
+    return (v / x) * bessel_i(v, x) + bessel_i(v + 1.0, x)
 
 
 @dataclass(frozen=True)
@@ -134,8 +120,18 @@ def bessel_zeros(v: float, kmax: int) -> list[BesselZero]:
     _check_order_arg(v, 0.0)
     if kmax < 1:
         raise ValueError(f"kmax must be >= 1, got {kmax}")
-    roots = jv_zeros(_impl.bessel_j, _impl.bessel_j_pair, v, kmax)
+    roots = jv_zeros(bessel_j, bessel_j_pair, v, kmax=kmax)
     return [BesselZero(v, k + 1, r) for k, r in enumerate(roots)]
+
+
+def bessel_zeros_below(v: float, bound: float) -> list[float]:
+    """All positive zeros of J_v not exceeding `bound`, increasing.
+
+    The same scan as bessel_zeros, so a zero found both ways has the same
+    floating-point value.
+    """
+    _check_order_arg(v, bound)
+    return jv_zeros(bessel_j, bessel_j_pair, v, bound=bound)
 
 
 def bessel_zero(v: float, k: int) -> BesselZero:
@@ -153,4 +149,4 @@ def bessel_j_deriv_zero(nu: float, k: int) -> float:
         raise ValueError(f"nu must be >= 1, got {nu}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    return radial_neumann_roots(_impl.bessel_j_pair, nu, k)[k - 1]
+    return radial_neumann_roots(bessel_j_pair, nu, k)[k - 1]

@@ -47,13 +47,17 @@ def refine_root(fdf, lo, hi, flo, x0=None, what="root"):
     raise ConvergenceError(f"refinement of {what} did not converge in [{lo}, {hi}]")
 
 
-def scan_zeros(f, fdf, kmax, start, step, guess=None, what="zero"):
-    """First kmax positive roots of f, scanning from `start` in `step` increments."""
+def scan_zeros(f, fdf, kmax, start, step, guess=None, what="zero", bound=math.inf):
+    """Positive roots of f in increasing order, scanning from `start` in `step` increments.
+
+    The scan stops after kmax roots or once it passes `bound`, whichever
+    comes first; roots above `bound` are dropped.
+    """
     roots = []
     s = start
     fs = f(s)
     limit = start + step * 10000.0
-    while len(roots) < kmax:
+    while len(roots) < kmax and s <= bound:
         if s > limit:
             raise ConvergenceError(f"scan for {what} exceeded {limit} with {len(roots)} roots found")
         t = s + step
@@ -64,46 +68,23 @@ def scan_zeros(f, fdf, kmax, start, step, guess=None, what="zero"):
             x0 = guess(len(roots) + 1) if guess is not None else None
             roots.append(refine_root(fdf, s, t, fs, x0=x0, what=what))
         s, fs = t, ft
-    return roots
-
-
-def jv_zeros(jfun, jpair, v, kmax):
-    """First kmax positive zeros of J_v via the supplied kernel callables."""
-
-    def f(x):
-        return jfun(v, x)
-
-    def fdf(x):
-        jv, jv1 = jpair(v, x)
-        return jv, (v / x) * jv - jv1
-
-    start = 0.5 if v == 0.0 else max(0.5, math.sqrt(v * (v + 2.0)) - 0.5)
-    return scan_zeros(f, fdf, kmax, start, 0.9, guess=lambda k: _mcmahon_guess(v, k), what=f"zero of J_{v}")
-
-
-def jv_zeros_below(jfun, jpair, v, bound):
-    """All positive zeros of J_v not exceeding `bound`, in increasing order."""
-
-    def f(x):
-        return jfun(v, x)
-
-    def fdf(x):
-        jv, jv1 = jpair(v, x)
-        return jv, (v / x) * jv - jv1
-
-    start = 0.5 if v == 0.0 else max(0.5, math.sqrt(v * (v + 2.0)) - 0.5)
-    roots = []
-    s, fs = start, f(start)
-    step = 0.9
-    while s <= bound:
-        t = s + step
-        ft = f(t)
-        if ft == 0.0:
-            roots.append(t)
-        elif (fs < 0.0) != (ft < 0.0):
-            roots.append(refine_root(fdf, s, t, fs, what=f"zero of J_{v}"))
-        s, fs = t, ft
     return [r for r in roots if r <= bound]
+
+
+def jv_zeros(jfun, jpair, v, kmax=math.inf, bound=math.inf):
+    """Positive zeros of J_v via the supplied kernel callables: the first kmax, or all up to `bound`."""
+
+    def f(x):
+        return jfun(v, x)
+
+    def fdf(x):
+        jv, jv1 = jpair(v, x)
+        return jv, (v / x) * jv - jv1
+
+    start = 0.5 if v == 0.0 else max(0.5, math.sqrt(v * (v + 2.0)) - 0.5)
+    return scan_zeros(
+        f, fdf, kmax, start, 0.9, guess=lambda k: _mcmahon_guess(v, k), what=f"zero of J_{v}", bound=bound
+    )
 
 
 def radial_neumann_roots(jpair, nu, kmax):

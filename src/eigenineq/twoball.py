@@ -72,10 +72,10 @@ def secular_det(n: int, a: float, mu: float) -> float:
     nu = n / 2.0 - 1.0
     k = mu**0.25
     ka, kb = k * a, k * b
-    ja, ja1 = specfun._impl.bessel_j_pair(nu, ka)
-    ia, ia1 = specfun._impl.bessel_i_scaled_pair(nu, ka)
-    jb, jb1 = specfun._impl.bessel_j_pair(nu, kb)
-    ib, ib1 = specfun._impl.bessel_i_scaled_pair(nu, kb)
+    ja, ja1 = specfun.bessel_j_pair(nu, ka)
+    ia, ia1 = specfun.bessel_i_scaled_pair(nu, ka)
+    jb, jb1 = specfun.bessel_j_pair(nu, kb)
+    ib, ib1 = specfun.bessel_i_scaled_pair(nu, kb)
     # columns are pre-scaled by a^nu (resp. b^nu), so the flux row carries
     # a^(n-1) = a^(n/2) * a^nu
     ah = a ** (n - 1.0)

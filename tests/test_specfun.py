@@ -1,4 +1,4 @@
-"""Bessel kernels and zeros: independent oracles, invariants, both backends."""
+"""Bessel kernels and zeros: independent oracles and invariants."""
 
 import math
 
@@ -6,12 +6,7 @@ import mpmath
 import pytest
 
 from eigenineq import specfun
-from eigenineq.specfun import _pure
 from eigenineq.specfun.errors import RangeError
-
-BACKENDS = [_pure]
-if specfun._kernels is not None:
-    BACKENDS.append(specfun._kernels)
 
 
 def _series_j0(x):
@@ -92,16 +87,15 @@ def test_against_mpmath_reference():
         for x in (0.3, 2.0, 30.0, 120.0):
             ref = float(mpmath.besseli(v, x))
             assert abs(specfun.bessel_i(v, x) - ref) <= 1e-12 * ref
-
-
-@pytest.mark.parametrize("impl", BACKENDS, ids=lambda b: b.__name__.rsplit(".", 1)[-1])
-def test_backend_values_match_each_other(impl):
+    # both components of each pair, from x = 0 to x well past the order
     for v in (0.0, 0.25, 1.0, 4.5, 13.0):
         for x in (0.0, 0.7, 9.9, 10.1, 35.0, 80.0):
-            assert abs(impl.bessel_j(v, x) - _pure.bessel_j(v, x)) < 5e-15
-            a, b = impl.bessel_i_scaled_pair(v, x)
-            ap, bp = _pure.bessel_i_scaled_pair(v, x)
-            assert abs(a - ap) < 5e-15 and abs(b - bp) < 5e-15
+            refs = [float(mpmath.besselj(w, x)) for w in (v, v + 1.0)]
+            for got, ref in zip(specfun.bessel_j_pair(v, x), refs):
+                assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
+            refs = [float(mpmath.besseli(w, x) * mpmath.exp(-x)) for w in (v, v + 1.0)]
+            for got, ref in zip(specfun.bessel_i_scaled_pair(v, x), refs):
+                assert abs(got - ref) <= 1e-12 * ref
 
 
 def test_derivative_identities():
