@@ -168,6 +168,13 @@ def _report(defn, domain, m, lhs, rhs, tol, note=""):
                             defn.status, defn.citation, note)
 
 
+def _gaps(values, m):
+    """Gaps values[m] - values[i] for i < m, or None when the smallest is
+    within round-off of zero (<= 1e-9 values[m]) and the bound is vacuous."""
+    gaps = [values[m] - v for v in values[:m]]
+    return None if min(gaps) <= 1e-9 * abs(values[m]) else gaps
+
+
 def _need(spectrum, count, what):
     if spectrum is None or len(spectrum) < count:
         have = 0 if spectrum is None else len(spectrum)
@@ -226,9 +233,9 @@ def eval_membrane_gap(id: str, spectrum: Spectrum, n: int, m: int) -> Inequality
     elif id == "yang2":
         lhs, rhs = lam[m], (1.0 + 4.0 / n) * s1 / m
     elif id == "hile_protter":
-        gaps = [lam[m] - v for v in lam[:m]]
+        gaps = _gaps(lam, m)
         lhs = m * n / 4.0
-        rhs = _INF if min(gaps) <= 0.0 else sum(v / g for v, g in zip(lam[:m], gaps))
+        rhs = _INF if gaps is None else sum(v / g for v, g in zip(lam[:m], gaps))
     elif id == "ratio_gap_membrane":
         lhs, rhs = lam[m] / lam[m - 1], _ball_gap_ratio(n)
     else:
@@ -354,21 +361,21 @@ def eval_plate(id: str, spectrum: Spectrum, n: int, m: int = 1) -> InequalityRep
         rhs = gam[m - 1] + coeff / (m * m) * sum(math.sqrt(v) for v in gam[:m]) ** 2
     elif id in ("hile_yeh", "conj_356", "cheb_357"):
         _need(spectrum, m + 1, id)
-        gaps = [gam[m] - v for v in gam[:m]]
+        gaps = _gaps(gam, m)
         if id == "hile_yeh":
             lhs = m * m / coeff
-            rhs = _INF if min(gaps) <= 0.0 else (
+            rhs = _INF if gaps is None else (
                 sum(math.sqrt(v) / g for v, g in zip(gam[:m], gaps))
                 * sum(math.sqrt(v) for v in gam[:m])
             )
         elif id == "conj_356":
             lhs = m * m / coeff
-            rhs = _INF if min(gaps) <= 0.0 else (
+            rhs = _INF if gaps is None else (
                 sum(math.sqrt(v / g) for v, g in zip(gam[:m], gaps)) ** 2
             )
         else:
             lhs = m / coeff
-            rhs = _INF if min(gaps) <= 0.0 else sum(v / g for v, g in zip(gam[:m], gaps))
+            rhs = _INF if gaps is None else sum(v / g for v, g in zip(gam[:m], gaps))
     elif id == "sum_plate_sqrt":
         _need(spectrum, n + 1, id)
         lhs = sum(math.sqrt(v) for v in gam[1 : n + 1]) / math.sqrt(gam[0])

@@ -74,6 +74,18 @@ class TestMembraneGap:
         r = eval_membrane_gap("hile_protter", spec, 2, 2)
         assert math.isinf(r.rhs) and r.holds and "degenerate" in r.note
 
+    @pytest.mark.parametrize("id", ["hile_protter", "hile_yeh", "conj_356", "cheb_357"])
+    def test_gap_within_round_off_is_degenerate(self, id):
+        def report(split):
+            if id == "hile_protter":
+                return eval_membrane_gap(id, synthetic(ProblemKind.DIRICHLET, (1.0, 2.0, 2.0 + split)), 2, 2)
+            return eval_plate(id, synthetic(ProblemKind.CLAMPED, (1.0, 2.0, 2.0 + split)), 2, 2)
+
+        r = report(1e-12)
+        assert math.isinf(r.rhs) and r.holds and "degenerate" in r.note
+        r = report(1e-6)
+        assert math.isfinite(r.rhs) and r.note == ""
+
     def test_yang_discriminant_clamped_on_equal_spectrum(self):
         spec = synthetic(ProblemKind.DIRICHLET, (2.0, 2.0 + 1e-10, 2.0 + 2e-10))
         r = eval_membrane_gap("yang1", spec, 2, 2)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy import sparse
 
 from eigenineq import specfun
 from eigenineq.balls import BallSpec, buckling_ball, clamped_ball, dirichlet_ball
@@ -15,6 +17,7 @@ from eigenineq.grid import (
     Polygon,
     RasterizeError,
     Rectangle,
+    SolverError,
     assemble,
     extrapolate,
     poisson_solve,
@@ -110,6 +113,24 @@ class TestSmallestEigs:
         _, ext = solve_shape(Disk(1.0), ProblemKind.NEUMANN, 1.0 / 64.0, 2, 2)
         root_sq = specfun.bessel_j_deriv_zero(1.0, 1) ** 2
         assert abs(ext.values[1] - root_sq) / root_sq < 0.01
+
+    @pytest.mark.parametrize("kind", list(ProblemKind))
+    def test_matches_dense_solve_on_lshape(self, kind):
+        op = assemble(rasterize(LShape(0.5, 0.5), 1.0 / 24.0), kind)
+        assert 200 < op.dim < 600
+        m = 6
+        got = np.array(smallest_eigs(op, m).values)
+        mass = None if op.mass is None else op.mass.toarray()
+        want = scipy.linalg.eigh(op.matrix.toarray(), mass, eigvals_only=True)[:m]
+        # the Neumann zero mode is compared on the scale of the spectrum
+        atol = 1e-10 * want[-1] if kind is ProblemKind.NEUMANN else 0.0
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=atol)
+
+    def test_singular_factorization_reported(self):
+        d = rasterize(Rectangle(1.0, 1.0), 0.125)
+        zero = sparse.csr_matrix((d.node_count, d.node_count))
+        with pytest.raises(SolverError):
+            smallest_eigs(DiscreteOperator(zero, ProblemKind.DIRICHLET, d.h, d), 2)
 
     def test_m_bounds_validated(self):
         op = assemble(rasterize(Rectangle(1.0, 1.0), 0.25), ProblemKind.DIRICHLET)
