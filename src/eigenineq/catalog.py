@@ -159,6 +159,12 @@ def _tolerance(scale, *spectra):
     return (1e-9 + 2.0 * allow) * max(abs(scale), 1e-30)
 
 
+def _pair_tolerance(lhs, rhs, *spectra):
+    """_tolerance on the scale of lhs and rhs; a vacuous (infinite) rhs
+    contributes 1, so a degenerate-gap row keeps a finite tolerance."""
+    return _tolerance(max(abs(lhs), 1.0 if math.isinf(rhs) else abs(rhs)), *spectra)
+
+
 def _report(defn, domain, m, lhs, rhs, tol, note=""):
     if math.isinf(rhs):
         return InequalityReport(defn.id, domain, m, lhs, rhs, _INF, True, tol, defn.status,
@@ -240,7 +246,7 @@ def eval_membrane_gap(id: str, spectrum: Spectrum, n: int, m: int) -> Inequality
         lhs, rhs = lam[m] / lam[m - 1], _ball_gap_ratio(n)
     else:
         raise ValueError(f"unhandled membrane gap id {id}")
-    return _report(defn, spectrum.domain_label, m, lhs, rhs, _tolerance(max(abs(lhs), abs(rhs)), spectrum))
+    return _report(defn, spectrum.domain_label, m, lhs, rhs, _pair_tolerance(lhs, rhs, spectrum))
 
 
 # published two-sided windows for the low-eigenvalue ratios in the plane:
@@ -261,7 +267,7 @@ def eval_membrane_low(id: str, spectrum: Spectrum, n: int) -> InequalityReport:
         lhs = sum(lam[1 : n + 1]) / lam[0]
         rhs = n + 4.0 if id == "sum_n4" else n + 3.0 + lam[0] / lam[1]
         return _report(defn, spectrum.domain_label, None, lhs, rhs,
-                       _tolerance(max(abs(lhs), abs(rhs)), spectrum))
+                       _pair_tolerance(lhs, rhs, spectrum))
     if defn.dims and n not in defn.dims:
         raise ValueError(f"{id} applies only in dimensions {defn.dims}, got n={n}")
     _need(spectrum, 3, id)
@@ -341,7 +347,7 @@ def eval_isoperimetric(id: str, bundle: DomainSpectra, n: int, area: float) -> I
     else:
         raise ValueError(f"unhandled isoperimetric id {id}")
     return _report(defn, bundle.label, None, lhs, rhs,
-                   _tolerance(max(abs(lhs), abs(rhs)), *spectra), note)
+                   _pair_tolerance(lhs, rhs, *spectra), note)
 
 
 def eval_plate(id: str, spectrum: Spectrum, n: int, m: int = 1) -> InequalityReport:
@@ -396,7 +402,7 @@ def eval_plate(id: str, spectrum: Spectrum, n: int, m: int = 1) -> InequalityRep
     else:
         raise ValueError(f"unhandled plate id {id}")
     return _report(defn, spectrum.domain_label, m_out, lhs, rhs,
-                   _tolerance(max(abs(lhs), 1.0 if math.isinf(rhs) else abs(rhs)), spectrum))
+                   _pair_tolerance(lhs, rhs, spectrum))
 
 
 def eval_buckling(id: str, spectrum: Spectrum, n: int) -> InequalityReport:
@@ -421,7 +427,7 @@ def eval_buckling(id: str, spectrum: Spectrum, n: int) -> InequalityReport:
     else:
         raise ValueError(f"unhandled buckling id {id}")
     return _report(defn, spectrum.domain_label, None, lhs, rhs,
-                   _tolerance(max(abs(lhs), abs(rhs)), spectrum))
+                   _pair_tolerance(lhs, rhs, spectrum))
 
 
 def eval_polya(id: str, spectrum: Spectrum, area: float, k_max: int) -> list[InequalityReport]:
@@ -438,7 +444,7 @@ def eval_polya(id: str, spectrum: Spectrum, area: float, k_max: int) -> list[Ine
             weyl = 4.0 * math.pi * k / area
             lhs, rhs = weyl, spectrum.values[k - 1]
             reports.append(_report(defn, spectrum.domain_label, k, lhs, rhs,
-                                   _tolerance(max(abs(lhs), abs(rhs)), spectrum)))
+                                   _pair_tolerance(lhs, rhs, spectrum)))
     elif id == "polya_neumann":
         _need(spectrum, k_max + 1, id)
         for k in range(0, k_max + 1):

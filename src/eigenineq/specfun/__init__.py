@@ -4,12 +4,15 @@ Values come from ``scipy.special`` (``jv``, ``iv``, ``ive``); this module
 adds argument validation, the I_v overflow guard, derivatives, and zeros
 by scan-bracketing plus safeguarded Newton (``_zeros``), which, unlike
 ``scipy.special.jn_zeros``, handles the half-integer orders of odd
-dimensions. All functions are pure and safe to call concurrently.
+dimensions. The two pair functions also take an ndarray argument and
+return arrays, so batched callers share this one validated layer. All
+functions are pure and safe to call concurrently.
 """
 
 import math
 from dataclasses import dataclass
 
+import numpy as np
 from scipy import special
 
 from ._zeros import jv_zeros, radial_neumann_roots
@@ -43,16 +46,30 @@ def _check_order_arg(v, x):
         raise ValueError(f"argument must be nonnegative, got {x}")
 
 
+def _check_order_args(v, x: np.ndarray):
+    """The rules of _check_order_arg, applied to every element of x."""
+    bad = x[~(np.isfinite(x) & (x >= 0.0))]
+    _check_order_arg(v, float(bad[0]) if bad.size else 0.0)
+
+
+def _pair(fn, v, x):
+    """(fn(v, x), fn(v + 1, x)) as floats, or as arrays for an ndarray x."""
+    if isinstance(x, np.ndarray):
+        _check_order_args(v, x)
+        return fn(v, x), fn(v + 1.0, x)
+    _check_order_arg(v, x)
+    return float(fn(v, x)), float(fn(v + 1.0, x))
+
+
 def bessel_j(v: float, x: float) -> float:
     """Bessel function of the first kind J_v(x), v >= 0, x >= 0."""
     _check_order_arg(v, x)
     return float(special.jv(v, x))
 
 
-def bessel_j_pair(v: float, x: float):
-    """(J_v(x), J_{v+1}(x))."""
-    _check_order_arg(v, x)
-    return float(special.jv(v, x)), float(special.jv(v + 1.0, x))
+def bessel_j_pair(v: float, x):
+    """(J_v(x), J_{v+1}(x)); elementwise arrays for an ndarray x."""
+    return _pair(special.jv, v, x)
 
 
 def bessel_j_deriv(v: float, x: float) -> float:
@@ -76,10 +93,10 @@ def bessel_i(v: float, x: float) -> float:
     return float(special.iv(v, x))
 
 
-def bessel_i_scaled_pair(v: float, x: float):
-    """(e^-x I_v(x), e^-x I_{v+1}(x)); safe for any finite x >= 0."""
-    _check_order_arg(v, x)
-    return float(special.ive(v, x)), float(special.ive(v + 1.0, x))
+def bessel_i_scaled_pair(v: float, x):
+    """(e^-x I_v(x), e^-x I_{v+1}(x)); safe for any finite x >= 0, and
+    elementwise arrays for an ndarray x."""
+    return _pair(special.ive, v, x)
 
 
 def bessel_i_deriv(v: float, x: float) -> float:

@@ -36,6 +36,7 @@ from .specfun.errors import ConvergenceError
 TALENTI_D_PRIME = {2: 0.9777, 3: 0.7391, 4: 0.6524}
 
 _ENDPOINT_GUARD = 1e-3
+_ZOOM_POINTS = 16  # interior points solved per round of the d_n minimizer zoom
 
 
 @dataclass(frozen=True)
@@ -55,7 +56,7 @@ class DConstantResult:
     curve: tuple[tuple[float, float], ...]  # (t, J(t)/ball_value) samples
 
 
-def secular_det(n: int, a: float, mu: float) -> float:
+def secular_det(n: int, a, mu):
     """Determinant whose sign changes bracket the two-ball eigenvalues.
 
     Columns are the J/I coefficients on B_a then B_b; rows impose
@@ -63,11 +64,18 @@ def secular_det(n: int, a: float, mu: float) -> float:
     I-columns carry e^-kappa scaling and every row is sup-normalized;
     both are positive rescalings, so root locations and sign changes are
     preserved even where I_nu would overflow.
+
+    `a` and `mu` broadcast against each other: array input builds one
+    stacked (..., 4, 4) matrix and returns the array of determinants;
+    scalar input returns a float.
     """
-    if not (0.0 < a < 1.0):
-        raise ValueError(f"a must lie strictly between 0 and 1, got {a}")
-    if mu <= 0.0:
-        raise ValueError(f"mu must be positive, got {mu}")
+    a, mu = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(mu, dtype=float))
+    bad_a = a[~((0.0 < a) & (a < 1.0))]
+    if bad_a.size:
+        raise ValueError(f"a must lie strictly between 0 and 1, got {bad_a[0]}")
+    bad_mu = mu[~(mu > 0.0)]
+    if bad_mu.size:
+        raise ValueError(f"mu must be positive, got {bad_mu[0]}")
     b = (1.0 - a**n) ** (1.0 / n)
     nu = n / 2.0 - 1.0
     k = mu**0.25
@@ -80,19 +88,20 @@ def secular_det(n: int, a: float, mu: float) -> float:
     # a^(n-1) = a^(n/2) * a^nu
     ah = a ** (n - 1.0)
     bh = b ** (n - 1.0)
-    rows = np.array(
+    zero = np.zeros_like(ja)
+    rows = np.stack(
         [
-            [ja, ia, 0.0, 0.0],
-            [0.0, 0.0, jb, ib],
-            [-ah * ja1, ah * ia1, bh * jb1, -bh * ib1],
-            [-ja, ia, -jb, ib],
-        ]
+            np.stack([ja, ia, zero, zero], axis=-1),
+            np.stack([zero, zero, jb, ib], axis=-1),
+            np.stack([-ah * ja1, ah * ia1, bh * jb1, -bh * ib1], axis=-1),
+            np.stack([-ja, ia, -jb, ib], axis=-1),
+        ],
+        axis=-2,
     )
-    for i in range(4):
-        m = np.max(np.abs(rows[i]))
-        if m > 0.0:
-            rows[i] /= m
-    return float(np.linalg.det(rows))
+    scale = np.abs(rows).max(axis=-1, keepdims=True)
+    rows /= np.where(scale > 0.0, scale, 1.0)
+    det = np.linalg.det(rows)
+    return float(det) if det.ndim == 0 else det
 
 
 def ball_eigenvalue(n: int) -> float:
@@ -100,72 +109,104 @@ def ball_eigenvalue(n: int) -> float:
     return clamped_radial_root(n, 0) ** 4
 
 
+def _J_many(n: int, a, k0: float) -> np.ndarray:
+    """Smallest two-ball eigenvalue at every first-ball radius in `a`.
+
+    All radii advance in lockstep, one stacked determinant per step.
+    Near-degenerate endpoints (min(a, b) < 1e-3) take the analytic
+    endpoint value k0^4. Every other radius scans k = mu^(1/4) from
+    0.5 k0 in steps of k0/50 up to 2 k0 (k0 the clamped unit-ball root)
+    and stops at its own first sign change; the bracket is then bisected
+    until its width is at most 2.5e-10 of its lower end, i.e. 1e-9
+    relative in mu. Radii whose scan finds no sign change get NaN.
+    """
+    a = np.asarray(a, dtype=float)
+    out = np.full(a.shape, np.nan)
+    b = (1.0 - a**n) ** (1.0 / n)
+    endpoint = np.minimum(a, b) < _ENDPOINT_GUARD
+    out[endpoint] = k0**4
+
+    # scan: the k grid is accumulated step by step, the same for every radius
+    step = k0 / 50.0
+    ks = [0.5 * k0]
+    while ks[-1] < 2.0 * k0:
+        ks.append(ks[-1] + step)
+    lo, hi, flo = np.full((3,) + a.shape, np.nan)  # sign-change brackets
+    idx = np.flatnonzero(~endpoint)
+    f_prev = secular_det(n, a[idx], ks[0] ** 4)
+    for k_lo, k_hi in zip(ks, ks[1:]):
+        if idx.size == 0:
+            break
+        f = secular_det(n, a[idx], k_hi**4)
+        root = f == 0.0
+        out[idx[root]] = k_hi**4
+        change = ~root & ((f < 0.0) != (f_prev < 0.0))
+        lo[idx[change]], hi[idx[change]], flo[idx[change]] = k_lo, k_hi, f_prev[change]
+        live = ~(root | change)
+        idx, f_prev = idx[live], f[live]
+
+    # bisection of every bracket at once; a radius leaves once converged
+    idx = np.flatnonzero(~np.isnan(lo))
+    lo, hi, flo = lo[idx], hi[idx], flo[idx]
+    for _ in range(200):
+        if idx.size == 0:
+            break
+        mid = 0.5 * (lo + hi)
+        fm = secular_det(n, a[idx], mid**4)
+        zero = fm == 0.0
+        same = (fm < 0.0) == (flo < 0.0)
+        lo = np.where(zero | same, mid, lo)
+        hi = np.where(zero | ~same, mid, hi)
+        flo = np.where(same, fm, flo)
+        done = zero | (hi - lo <= 2.5e-10 * lo)  # 1e-9 relative in mu = k^4
+        out[idx[done]] = (0.5 * (lo[done] + hi[done])) ** 4
+        idx, lo, hi, flo = idx[~done], lo[~done], hi[~done], flo[~done]
+    out[idx] = (0.5 * (lo + hi)) ** 4
+    return out
+
+
 def J_of_a(n: int, a: float, _k0: float | None = None) -> TwoBallResult:
     """Smallest eigenvalue of the two-ball problem at first-ball radius a.
 
-    The determinant is scanned in k = mu^(1/4) with step k0/50 (k0 the
-    clamped unit-ball root) from well below any eigenvalue, then the first
-    sign change is refined by bisection to 1e-9 relative in mu.
-    Near-degenerate endpoints (min(a, b) < 1e-3) return the analytic
-    endpoint value directly.
+    A one-radius call of the lockstep solver `_J_many`: scan in k =
+    mu^(1/4) with step k0/50 from 0.5 k0 to 2 k0, bisection of the first
+    sign change to 1e-9 relative in mu, and the analytic endpoint value
+    when min(a, b) < 1e-3. Raises ConvergenceError when the scan finds no
+    sign change.
     """
     if not (0.0 <= a <= 1.0):
         raise ValueError(f"a must lie in [0, 1], got {a}")
     k0 = _k0 if _k0 is not None else clamped_radial_root(n, 0)
     b = (1.0 - a**n) ** (1.0 / n) if a < 1.0 else 0.0
-    if min(a, b) < _ENDPOINT_GUARD:
-        return TwoBallResult(n, a, b, k0**4)
-
-    def det_at(k):
-        return secular_det(n, a, k**4)
-
-    step = k0 / 50.0
-    k_lo = 0.5 * k0
-    f_lo = det_at(k_lo)
-    trace = [(k_lo, f_lo)]
-    k_hi = None
-    k = k_lo
-    while k < 2.0 * k0:
-        k_next = k + step
-        f_next = det_at(k_next)
-        trace.append((k_next, f_next))
-        if f_next == 0.0:
-            return TwoBallResult(n, a, b, k_next**4)
-        if (f_lo < 0.0) != (f_next < 0.0):
-            k_hi = k_next
-            break
-        k, f_lo = k_next, f_next
-    if k_hi is None:
-        raise ConvergenceError(
-            f"two-ball bracketing failed for n={n}, a={a}: no sign change in scan {trace}"
-        )
-    lo, hi = k, k_hi
-    flo = f_lo
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = det_at(mid)
-        if fm == 0.0:
-            lo = hi = mid
-            break
-        if (fm < 0.0) == (flo < 0.0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-        if hi - lo <= 2.5e-10 * lo:  # 1e-9 relative in mu = k^4
-            break
-    return TwoBallResult(n, a, b, (0.5 * (lo + hi)) ** 4)
+    mu = float(_J_many(n, [a], k0)[0])
+    if math.isnan(mu):
+        raise ConvergenceError(f"two-ball bracketing failed for n={n}, a={a}: no sign change in the k scan")
+    return TwoBallResult(n, a, b, mu)
 
 
-def _t_to_a(t: float, n: int) -> float:
+def _t_to_a(t, n: int):
     return t ** (1.0 / n)
 
 
+def _J_of_t(n: int, ts: np.ndarray, k0: float) -> np.ndarray:
+    """_J_many over t = a^n, raising ConvergenceError on the first failed root."""
+    js = _J_many(n, _t_to_a(ts, n), k0)
+    failed = ts[np.isnan(js)]
+    if failed.size:
+        raise ConvergenceError(f"two-ball bracketing failed for n={n} at t={failed.tolist()}")
+    return js
+
+
 def d_constant(n: int, grid_points: int = 65) -> DConstantResult:
-    """d_n = min_a J(a) / Gamma_1(B_1), by a uniform t-scan plus golden section.
+    """d_n = min_a J(a) / Gamma_1(B_1), by a uniform t-scan plus a batched zoom.
 
     t = a^n is the natural variable (J is symmetric about t = 1/2). The
-    scan also rejects root-jumping: no adjacent gap may exceed 5x a robust
-    local slope scale.
+    whole t-grid is solved in one lockstep batch, and the scan rejects
+    root-jumping: no adjacent gap may exceed 5x a robust local slope
+    scale. An interior grid minimum is refined by zooming: each round
+    solves 16 evenly spaced interior points of the bracket at once and
+    keeps the neighbours of the smallest value, until the bracket is
+    narrower than 1e-6 in t. An endpoint minimum is the ball value itself.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
@@ -174,40 +215,28 @@ def d_constant(n: int, grid_points: int = 65) -> DConstantResult:
     k0 = clamped_radial_root(n, 0)
     ball = k0**4
     ts = np.linspace(0.0, 1.0, grid_points)
-    js = np.array([J_of_a(n, _t_to_a(t, n), _k0=k0).eigenvalue for t in ts])
+    js = _J_of_t(n, ts, k0)
     gaps = np.abs(np.diff(js))
-    for i, gap in enumerate(gaps):
-        neighbors = [gaps[j] for j in (i - 1, i + 1) if 0 <= j < len(gaps)]
-        slope_scale = max(max(neighbors), 1e-3 * ball)
-        if gap > 5.0 * slope_scale:
-            raise ConvergenceError(
-                f"J(t) jump between t={ts[i]:.4f} and t={ts[i + 1]:.4f} for n={n}: "
-                f"gap {gap:.3e} vs local slope scale {slope_scale:.3e}"
-            )
+    padded = np.pad(gaps, 1)  # gaps are >= 0, so a zero pad never wins the max
+    slope_scale = np.maximum(np.maximum(padded[:-2], padded[2:]), 1e-3 * ball)
+    jumps = np.flatnonzero(gaps > 5.0 * slope_scale)
+    if jumps.size:
+        i = int(jumps[0])
+        raise ConvergenceError(
+            f"J(t) jump between t={ts[i]:.4f} and t={ts[i + 1]:.4f} for n={n}: "
+            f"gap {gaps[i]:.3e} vs local slope scale {slope_scale[i]:.3e}"
+        )
     imin = int(np.argmin(js))
-    if imin in (0, grid_points - 1):
-        t_min, j_min = float(ts[imin]), float(js[imin])
-    else:
-        lo = float(ts[imin - 1])
-        hi = float(ts[imin + 1])
-        invphi = (math.sqrt(5.0) - 1.0) / 2.0
-        x1 = hi - invphi * (hi - lo)
-        x2 = lo + invphi * (hi - lo)
-        f1 = J_of_a(n, _t_to_a(x1, n), _k0=k0).eigenvalue
-        f2 = J_of_a(n, _t_to_a(x2, n), _k0=k0).eigenvalue
-        for _ in range(40):
-            if hi - lo < 1e-6:
-                break
-            if f1 <= f2:
-                hi, x2, f2 = x2, x1, f1
-                x1 = hi - invphi * (hi - lo)
-                f1 = J_of_a(n, _t_to_a(x1, n), _k0=k0).eigenvalue
-            else:
-                lo, x1, f1 = x1, x2, f2
-                x2 = lo + invphi * (hi - lo)
-                f2 = J_of_a(n, _t_to_a(x2, n), _k0=k0).eigenvalue
-        t_min = 0.5 * (lo + hi)
-        j_min = J_of_a(n, _t_to_a(t_min, n), _k0=k0).eigenvalue
+    t_min, j_min = float(ts[imin]), float(js[imin])
+    if 0 < imin < grid_points - 1:
+        x_lo, x_hi, f_lo, f_hi = ts[imin - 1], ts[imin + 1], js[imin - 1], js[imin + 1]
+        while x_hi - x_lo >= 1e-6:
+            xs = np.linspace(x_lo, x_hi, _ZOOM_POINTS + 2)
+            fs = np.concatenate(([f_lo], _J_of_t(n, xs[1:-1], k0), [f_hi]))
+            j = int(np.argmin(fs))
+            t_min, j_min = float(xs[j]), float(fs[j])
+            lo, hi = max(j - 1, 0), min(j + 1, len(xs) - 1)
+            x_lo, x_hi, f_lo, f_hi = xs[lo], xs[hi], fs[lo], fs[hi]
         if js[0] <= j_min:  # endpoint still wins
             t_min, j_min = float(ts[0]), float(js[0])
     curve = tuple((float(t), float(j / ball)) for t, j in zip(ts, js))
@@ -225,14 +254,11 @@ def c_constant(n: int) -> float:
 
 def curve_table(n: int, t_grid) -> list[tuple[float, float | None]]:
     """(t, J(t)/Gamma_1(B_1)) samples; failed root solves yield None entries."""
-    k0 = clamped_radial_root(n, 0)
-    ball = k0**4
-    out = []
-    for t in t_grid:
+    ts = [float(t) for t in t_grid]
+    for t in ts:
         if not (0.0 <= t <= 1.0):
             raise ValueError(f"t must lie in [0, 1], got {t}")
-        try:
-            out.append((float(t), J_of_a(n, _t_to_a(float(t), n), _k0=k0).eigenvalue / ball))
-        except ConvergenceError:
-            out.append((float(t), None))
-    return out
+    k0 = clamped_radial_root(n, 0)
+    ball = k0**4
+    js = _J_many(n, _t_to_a(np.array(ts), n), k0)
+    return [(t, None if math.isnan(j) else float(j / ball)) for t, j in zip(ts, js)]

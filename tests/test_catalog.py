@@ -83,6 +83,7 @@ class TestMembraneGap:
 
         r = report(1e-12)
         assert math.isinf(r.rhs) and r.holds and "degenerate" in r.note
+        assert math.isfinite(r.tolerance_used) and r.tolerance_used > 0.0
         r = report(1e-6)
         assert math.isfinite(r.rhs) and r.note == ""
 

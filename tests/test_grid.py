@@ -126,6 +126,11 @@ class TestSmallestEigs:
         atol = 1e-10 * want[-1] if kind is ProblemKind.NEUMANN else 0.0
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=atol)
 
+    def test_neumann_zero_mode_is_exactly_zero(self):
+        op = assemble(rasterize(LShape(0.5, 0.5), 1.0 / 24.0), ProblemKind.NEUMANN)
+        values = smallest_eigs(op, 3).values
+        assert values[0] == 0.0 and values[1] > 0.0
+
     def test_singular_factorization_reported(self):
         d = rasterize(Rectangle(1.0, 1.0), 0.125)
         zero = sparse.csr_matrix((d.node_count, d.node_count))

@@ -1,9 +1,18 @@
 """Two-ball variational problem: secular determinant, J(t) curve, constants."""
 
+import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from eigenineq.balls import BallSpec, clamped_ball
+from eigenineq import specfun, twoball
+from eigenineq.balls import BallSpec, clamped_ball, clamped_radial_root
+from eigenineq.cli import main
+from eigenineq.specfun.errors import ConvergenceError
 from eigenineq.twoball import (
     TALENTI_D_PRIME,
     J_of_a,
@@ -60,8 +69,6 @@ def test_limit_toward_clamped_ball():
 def test_symmetric_point_equals_single_ball_mode():
     # at t = 1/2 the lowest coupled mode is the symmetric one, whose secular
     # equation reduces to J_{n/2-1}(k a) = 0
-    from eigenineq import specfun
-
     for n in (2, 4):
         a = 0.5 ** (1.0 / n)
         expect = (specfun.bessel_zero(n / 2.0 - 1.0, 1).value / a) ** 4
@@ -124,3 +131,108 @@ def test_input_validation():
         d_constant(1)
     with pytest.raises(ValueError):
         d_constant(4, grid_points=10)
+
+
+def _scalar_secular_det(n, a, mu):
+    # reference: one 4x4 matrix from scalar Bessel calls, rows normalized in a loop
+    b = (1.0 - a**n) ** (1.0 / n)
+    nu = n / 2.0 - 1.0
+    k = mu**0.25
+    ja, ja1 = specfun.bessel_j_pair(nu, k * a)
+    ia, ia1 = specfun.bessel_i_scaled_pair(nu, k * a)
+    jb, jb1 = specfun.bessel_j_pair(nu, k * b)
+    ib, ib1 = specfun.bessel_i_scaled_pair(nu, k * b)
+    ah, bh = a ** (n - 1.0), b ** (n - 1.0)
+    rows = np.array(
+        [
+            [ja, ia, 0.0, 0.0],
+            [0.0, 0.0, jb, ib],
+            [-ah * ja1, ah * ia1, bh * jb1, -bh * ib1],
+            [-ja, ia, -jb, ib],
+        ]
+    )
+    for row in rows:
+        row /= np.max(np.abs(row))
+    return float(np.linalg.det(rows))
+
+
+def test_array_det_matches_scalar_reference():
+    rng = np.random.default_rng(7)
+    for n in range(2, 9):
+        k0 = clamped_radial_root(n, 0)
+        a = rng.uniform(0.01, 0.99, size=40)
+        mu = (k0 * rng.uniform(0.3, 2.5, size=40)) ** 4
+        want = np.array([_scalar_secular_det(n, x, m) for x, m in zip(a, mu)])
+        got = secular_det(n, a, mu)
+        assert got.shape == (40,)
+        # rows are sup-normalized, so determinants are O(1); numpy's vector
+        # pow may differ from libm's in the last bit
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
+        scalar = [secular_det(n, x, m) for x, m in zip(a, mu)]
+        assert all(isinstance(v, float) for v in scalar)
+        np.testing.assert_allclose(scalar, want, rtol=1e-13, atol=1e-13)
+    # a and mu broadcast against each other
+    grid = secular_det(4, np.array([[0.3], [0.7]]), np.array([200.0, 400.0, 600.0]))
+    assert grid.shape == (2, 3)
+    assert grid[1, 2] == pytest.approx(_scalar_secular_det(4, 0.7, 600.0), rel=1e-13, abs=1e-13)
+
+
+@pytest.mark.parametrize(
+    "a, mu",
+    [
+        ([0.3, 1.0], 10.0),
+        ([0.3, 0.0], 10.0),
+        ([0.3, np.nan], 10.0),
+        (0.3, [10.0, -1.0]),
+        (0.3, [10.0, 0.0]),
+        (0.3, [np.nan, 10.0]),
+        ([0.3, 0.5], [10.0, np.inf]),
+    ],
+)
+def test_array_det_rejects_any_bad_element(a, mu):
+    with pytest.raises(ValueError):
+        secular_det(3, np.array(a), np.array(mu))
+
+
+def test_no_sign_change_is_reported(monkeypatch, tmp_path):
+    monkeypatch.setattr(twoball, "secular_det", lambda n, a, mu: np.ones(np.broadcast(a, mu).shape))
+    with pytest.raises(ConvergenceError):
+        J_of_a(4, 0.8)
+    with pytest.raises(ConvergenceError):
+        d_constant(4)
+    # the endpoints are analytic and still succeed
+    assert curve_table(4, [0.0, 0.5, 1.0]) == [(0.0, 1.0), (0.5, None), (1.0, 1.0)]
+    assert main(["--output-dir", str(tmp_path), "curve", "--n", "4", "--points", "5"]) == 1
+    with open(tmp_path / "curve_n4.csv", newline="", encoding="utf-8") as fh:
+        status = [row["status"] for row in csv.DictReader(fh)]
+    assert status == ["ok", "failed", "failed", "failed", "ok"]
+
+
+def test_d_constants_pinned():
+    # full-precision d_n from a scalar solver (one radius at a time, golden
+    # section for the minimum); the batched zoom must land on the same values
+    pinned = {
+        4: 0.9537969517761561,
+        5: 0.9218448809321084,
+        6: 0.9077783973811031,
+        7: 0.901812062749684,
+        8: 0.8998913004582276,
+    }
+    for n, ref in pinned.items():
+        res = d_constant(n)
+        assert res.d_n == pytest.approx(ref, rel=1e-10, abs=0.0)
+        assert abs(res.minimizer_t - 0.5) < 1e-4
+
+
+def test_cli_start_does_not_import_scipy_optimize():
+    code = (
+        "import sys\n"
+        "import eigenineq.cli\n"
+        "from eigenineq.twoball import d_constant\n"
+        "d_constant(4)\n"
+        "assert 'scipy.optimize' not in sys.modules, sorted(m for m in sys.modules if m.startswith('scipy.optimize'))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
