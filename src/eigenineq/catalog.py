@@ -10,6 +10,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from . import specfun
 from .balls import BallSpec, buckling_ball, clamped_ball, dirichlet_ball, neumann_ball_mu1, unit_ball_volume
 from .spectra import Spectrum
@@ -198,24 +200,10 @@ def _d_value(n):
 
 
 def hile_yeh_cubic_root(n: int) -> float:
-    """Unique root above 1 of (x-1)^3 = 512 x / (n^2 (n+2)), by bisection."""
+    """Unique root above 1 of (x-1)^3 = 512 x / (n^2 (n+2)): the largest real root."""
     c = 512.0 / (n * n * (n + 2.0))
-
-    def g(x):
-        return (x - 1.0) ** 3 - c * x
-
-    lo, hi = 1.0, 2.0
-    while g(hi) <= 0.0:
-        hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if g(mid) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-13 * hi:
-            break
-    return 0.5 * (lo + hi)
+    roots = np.roots([1.0, -3.0, 3.0 - c, -1.0])
+    return float(roots[np.isreal(roots)].real.max())
 
 
 def eval_membrane_gap(id: str, spectrum: Spectrum, n: int, m: int) -> InequalityReport:

@@ -25,7 +25,7 @@ from pathlib import Path
 from .catalog import CATALOG, CONJECTURE, PROVEN, DomainSpectra, evaluate_all
 from .grid.domain import Annulus, Disk, Ellipse, LShape, Polygon, Rectangle, Shape
 from .grid.solve import SolverError, solve_shape
-from .spectra import ProblemKind, Spectrum
+from .spectra import ProblemKind
 from .twoball import TALENTI_D_PRIME, c_constant, curve_table, d_constant
 
 _SCHEMA_VERSION = 1
@@ -54,6 +54,13 @@ def _write_csv(path: Path, header, rows):
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
+
+
+def _write_spectra(path: Path, spectra):
+    """One row per eigenvalue of each spectrum, in the order given."""
+    _write_csv(path, ["domain", "problem", "provenance", "h", "index", "value", "allowance"],
+               [(s.domain_label, s.kind.value, s.provenance.value, s.mesh_h, i + 1, v, s.allowance)
+                for s in spectra for i, v in enumerate(s.values)])
 
 
 def parse_shape(desc: dict) -> Shape:
@@ -113,25 +120,17 @@ def load_config(path: str) -> dict:
     return cfg
 
 
-def _scaled(spectrum: Spectrum | None, factor: float) -> Spectrum | None:
-    if spectrum is None or factor == 1.0:
-        return spectrum
-    return dataclasses.replace(spectrum, allowance=spectrum.allowance * factor)
-
-
-def _solve_task(shape, label, problem, h, levels, m):
-    levels_spectra, extrapolated = solve_shape(shape, problem, h, levels, m)
-    return [dataclasses.replace(s, domain_label=label) for s in levels_spectra], dataclasses.replace(
-        extrapolated, domain_label=label
-    )
-
-
 def run_verify(config: dict, output_dir: str, tolerance_scale: float = 1.0, workers: int | None = None) -> int:
-    """Solve every domain x problem task, evaluate the catalog, write reports.
+    """Solve every problem on every domain, evaluate the catalog, write reports.
 
-    Returns the process exit code: 0 iff every proven-status inequality
-    holds and no solve failed.
+    Domains are solved ``workers`` at a time (default: one per CPU), the
+    largest first. Returns the process exit code: 0 iff every
+    proven-status inequality holds and no solve failed.
     """
+    if not (math.isfinite(tolerance_scale) and tolerance_scale >= 0.0):
+        raise ConfigError(f"tolerance scale must be finite and >= 0, got {tolerance_scale}")
+    if workers is not None and workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     h = float(config["mesh"]["h"])
@@ -149,49 +148,28 @@ def run_verify(config: dict, output_dir: str, tolerance_scale: float = 1.0, work
             return max(m_max, k_max) + 1
         return m_max + 1
 
-    tasks = [(label, shape, problem) for label, shape in domains for problem in problems]
-    results = {}
+    wanted = {problem: m_for(problem) for problem in problems}
+    by_area = sorted(domains, key=lambda d: d[1].area, reverse=True)
+    results = {label: {} for label, _ in domains}  # label -> {problem: [level spectra..., extrapolated]}
     errors = []
-    max_workers = workers or config.get("concurrency") or os.cpu_count() or 1
-    with concurrent.futures.ThreadPoolExecutor(max_workers=max_workers) as pool:
-        futs = {
-            pool.submit(_solve_task, shape, label, problem, h, levels, m_for(problem)): (label, problem)
-            for label, shape, problem in tasks
-        }
-        for fut in concurrent.futures.as_completed(futs):
-            label, problem = futs[fut]
-            try:
-                results[(label, problem)] = fut.result()
-            except Exception as exc:
-                errors.append({"domain": label, "problem": problem.value, "error": str(exc)})
+    with concurrent.futures.ThreadPoolExecutor(max_workers=workers or os.cpu_count() or 1) as pool:
+        solved = pool.map(lambda d: solve_shape(d[1], wanted, h, levels), by_area)
+        for (label, _), by_kind in zip(by_area, solved):
+            for problem, got in by_kind.items():
+                if isinstance(got, Exception):
+                    errors.append({"domain": label, "problem": problem.value, "error": str(got)})
+                else:
+                    results[label][problem.value] = [dataclasses.replace(s, domain_label=label)
+                                                     for s in [*got[0], got[1]]]
 
-    spectra_rows = []
-    for (label, problem) in sorted(results, key=lambda k: (k[0], k[1].value)):
-        level_spectra, extrapolated = results[(label, problem)]
-        for spec in [*level_spectra, extrapolated]:
-            for i, v in enumerate(spec.values):
-                spectra_rows.append(
-                    (label, problem.value, spec.provenance.value, spec.mesh_h, i + 1, v, spec.allowance)
-                )
-    _write_csv(out / "spectra.csv",
-               ["domain", "problem", "provenance", "h", "index", "value", "allowance"], spectra_rows)
+    _write_spectra(out / "spectra.csv",
+                   [s for label in sorted(results) for _, spectra in sorted(results[label].items()) for s in spectra])
 
     reports = []
     for label, shape in domains:
-        by_kind = {}
-        for problem in problems:
-            got = results.get((label, problem))
-            if got is not None:
-                by_kind[problem.value] = _scaled(got[1], tolerance_scale)
-        bundle = DomainSpectra(
-            label=label,
-            dimension=2,
-            area=shape.area,
-            dirichlet=by_kind.get("dirichlet"),
-            neumann=by_kind.get("neumann"),
-            clamped=by_kind.get("clamped"),
-            buckling=by_kind.get("buckling"),
-        )
+        extrapolated = {problem: dataclasses.replace(spectra[-1], allowance=spectra[-1].allowance * tolerance_scale)
+                        for problem, spectra in results[label].items()}
+        bundle = DomainSpectra(label=label, dimension=2, area=shape.area, **extrapolated)
         reports.extend(evaluate_all(bundle, m_max=m_max, k_max=k_max, ids=ids))
     reports.sort(key=lambda r: (r.domain, r.id, -1 if r.m is None else r.m))
     _write_csv(
@@ -267,13 +245,11 @@ def run_spectrum(shape_desc: str, problem: str, h: float, levels: int, m: int, o
     kind = ProblemKind(problem)
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    level_spectra, extrapolated = solve_shape(shape, kind, h, levels, m)
-    rows = []
-    for spec in [*level_spectra, extrapolated]:
-        for i, v in enumerate(spec.values):
-            rows.append((shape.label, kind.value, spec.provenance.value, spec.mesh_h, i + 1, v, spec.allowance))
-    _write_csv(out / "spectrum.csv",
-               ["domain", "problem", "provenance", "h", "index", "value", "allowance"], rows)
+    got = solve_shape(shape, {kind: m}, h, levels)[kind]
+    if isinstance(got, Exception):
+        raise got
+    level_spectra, extrapolated = got
+    _write_spectra(out / "spectrum.csv", [*level_spectra, extrapolated])
     return 0
 
 
@@ -290,8 +266,9 @@ def main(argv=None) -> int:
     p_verify = sub.add_parser("verify", help="run a config and evaluate the inequality catalog")
     p_verify.add_argument("config")
     p_verify.add_argument("--tolerance-scale", type=float, default=1.0,
-                          help="multiply every discretization allowance")
-    p_verify.add_argument("--workers", type=int, default=None)
+                          help="multiply every discretization allowance (finite, >= 0)")
+    p_verify.add_argument("--workers", type=int, default=None,
+                          help="domains solved at once (default: one per CPU); must be >= 1")
 
     p_const = sub.add_parser("constants", help="write the c_n / d_n table")
     p_const.add_argument("--n", default="2..8", help="range like 2..8 or list like 2,4,6")

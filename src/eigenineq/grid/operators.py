@@ -7,7 +7,8 @@ graph Laplacian of the mask adjacency; the clamped plate uses the
 13-point bi-Laplacian with first-ring exterior values zero and
 second-ring ghosts reflected (w_ghost = w_interior), preserving symmetry
 exactly. The buckling problem is the pair (clamped bi-Laplacian,
-Dirichlet Laplacian) on the same interior space.
+Dirichlet Laplacian) on the same interior space; `buckling` is the one
+place that pairs them.
 """
 
 from dataclasses import dataclass
@@ -119,23 +120,25 @@ def _bilaplacian_clamped(domain):
     return a * (1.0 / h4)
 
 
+def buckling(operator) -> DiscreteOperator:
+    """The buckling pair (clamped bi-Laplacian, Dirichlet Laplacian mass) from ``operator(kind)``."""
+    plate, membrane = operator(ProblemKind.CLAMPED), operator(ProblemKind.DIRICHLET)
+    return DiscreteOperator(plate.matrix, ProblemKind.BUCKLING, plate.h, plate.domain, membrane.matrix)
+
+
 def assemble(domain: GridDomain, kind: ProblemKind) -> DiscreteOperator:
     """Discrete operator for the given problem kind on the domain."""
     if kind is ProblemKind.DIRICHLET:
         a = _laplacian(domain, neumann=False)
-        mass = None
     elif kind is ProblemKind.NEUMANN:
         a = _laplacian(domain, neumann=True)
-        mass = None
     elif kind is ProblemKind.CLAMPED:
         a = _bilaplacian_clamped(domain)
-        mass = None
     elif kind is ProblemKind.BUCKLING:
-        a = _bilaplacian_clamped(domain)
-        mass = _laplacian(domain, neumann=False)
+        return buckling(lambda part: assemble(domain, part))
     else:
         raise ValueError(f"unknown problem kind {kind}")
     asym = abs(a - a.T)
     if asym.nnz and asym.max() > 0.0:
         raise AssertionError(f"non-symmetric assembly for {kind} on {domain.label}")
-    return DiscreteOperator(a, kind, domain.h, domain, mass)
+    return DiscreteOperator(a, kind, domain.h, domain)

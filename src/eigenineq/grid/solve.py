@@ -1,5 +1,10 @@
 """Sparse eigenvalue solves, Richardson extrapolation and Poisson solves.
 
+`solve_shape` solves all requested problems of one shape together: per
+mesh level it rasterizes once, assembles each distinct matrix once and
+factors each distinct shifted matrix once (buckling shares the clamped
+bi-Laplacian and its factor, and the Dirichlet Laplacian as its mass).
+
 Eigenvalues come from ARPACK in shift-invert mode (shift 0 for the
 positive-definite problems, a small negative shift for Neumann so the
 factorization stays definite while the zero mode is still resolved).
@@ -8,14 +13,15 @@ reproduce identical output bytes.
 
 Every matrix factored here (the shifted operator A - sigma I, or A alone
 at sigma = 0, and the Poisson Laplacian) is symmetric positive definite.
-Each solve factors it once, with SuperLU ordered by minimum degree on
-A + A^T and diagonal pivots only, which roughly halves the fill of the
-default COLAMD column ordering, and hands that factor to ARPACK as the
+It is factored with SuperLU, ordered by minimum degree on A + A^T with
+diagonal pivots only, which roughly halves the fill of the default
+COLAMD column ordering, and the factor is handed to ARPACK as the
 shift-invert operator. The eigenpairs are still residual-checked
 against the unfactored operator.
 """
 
 import math
+from collections.abc import Mapping
 
 import numpy as np
 from scipy import sparse
@@ -23,7 +29,7 @@ from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 from ..spectra import ProblemKind, Provenance, Spectrum
 from .domain import GridDomain, Shape, rasterize
-from .operators import DiscreteOperator, assemble
+from .operators import DiscreteOperator, assemble, buckling
 
 _RESIDUAL_REL = 1e-8
 _SEED = 20260810
@@ -43,12 +49,16 @@ def _factor_spd(matrix):
                 options={"SymmetricMode": True})
 
 
-def smallest_eigs(op: DiscreteOperator, m: int) -> Spectrum:
+def smallest_eigs(op: DiscreteOperator, m: int, factors: dict | None = None) -> Spectrum:
     """The m smallest eigenvalues of the (generalized) discrete problem.
 
     Every returned pair is residual-checked against
     ||A x - theta B x|| <= 1e-8 * scale(A) * ||x||.
+
+    ``factors`` memoizes factors by (id(op.matrix), shift) for operators
+    sharing a matrix; the caller keeps those matrices alive meanwhile.
     """
+    factors = {} if factors is None else factors
     n = op.dim
     if not 1 <= m < n - 1:
         raise ValueError(f"need 1 <= m < {n - 1}, got {m}")
@@ -63,8 +73,10 @@ def smallest_eigs(op: DiscreteOperator, m: int) -> Spectrum:
         shifted = op.matrix - sigma * sparse.identity(n, format="csr")
     ncv = min(n, max(2 * m + 8, 24))
     try:
-        lu = _factor_spd(shifted)
-        opinv = LinearOperator((n, n), matvec=lu.solve, dtype=float)
+        key = (id(op.matrix), sigma)
+        if key not in factors:
+            factors[key] = _factor_spd(shifted)
+        opinv = LinearOperator((n, n), matvec=factors[key].solve, dtype=float)
         vals, vecs = eigsh(op.matrix, k=m, M=op.mass, sigma=sigma, which="LM", v0=v0, ncv=ncv, OPinv=opinv)
     except Exception as exc:
         raise SolverError(f"eigsh failed for {op.kind.value} on {op.domain.label}: {exc}") from exc
@@ -156,17 +168,34 @@ def poisson_solve(domain: GridDomain, f_values) -> np.ndarray:
     return _factor_spd(op.matrix).solve(f)
 
 
-def solve_shape(shape: Shape, kind: ProblemKind, h: float, levels: int, m: int):
-    """Spectra on meshes h, h/2, ..., plus the Richardson extrapolation.
+def _operator(domain, kind, ops):
+    """The operator of ``kind`` on ``domain``; ``ops`` memoizes it for the level."""
+    if kind not in ops:
+        ops[kind] = (buckling(lambda part: _operator(domain, part, ops)) if kind is ProblemKind.BUCKLING
+                     else assemble(domain, kind))
+    return ops[kind]
 
-    Returns (per-level spectra list, extrapolated spectrum from the two
-    finest levels).
+
+def solve_shape(shape: Shape, problems: Mapping[ProblemKind, int], h: float, levels: int):
+    """Spectra of several problems on meshes h, h/2, ..., plus their Richardson extrapolations.
+
+    ``problems`` maps each problem kind to its number of eigenvalues m.
+    Returns {kind: (per-level spectra list, extrapolated spectrum from the
+    two finest levels)}, or {kind: the exception} for a kind whose solve
+    raised; the other kinds still solve.
     """
     if levels < 2:
         raise ValueError(f"extrapolation needs at least 2 mesh levels, got {levels}")
-    spectra = []
+    spectra = {kind: [] for kind in problems}
+    failed = {}
     for lev in range(levels):
-        domain = rasterize(shape, h / 2**lev)
-        op = assemble(domain, kind)
-        spectra.append(smallest_eigs(op, m))
-    return spectra, extrapolate(spectra[-2], spectra[-1])
+        domain, ops, factors = None, {}, {}
+        for kind, m in problems.items():
+            if kind not in failed:
+                try:
+                    domain = domain or rasterize(shape, h / 2**lev)
+                    spectra[kind].append(smallest_eigs(_operator(domain, kind, ops), m, factors))
+                except Exception as exc:
+                    failed[kind] = exc
+    return {kind: failed[kind] if kind in failed else (spectra[kind], extrapolate(*spectra[kind][-2:]))
+            for kind in problems}

@@ -25,10 +25,10 @@ _MEMBRANE_MESH = (1.0 / 64.0, 2)
 _PLATE_MESH = (1.0 / 48.0, 2)
 
 
-def _solve(shape, label, kind, m):
-    h, levels = _MEMBRANE_MESH if kind in (ProblemKind.DIRICHLET, ProblemKind.NEUMANN) else _PLATE_MESH
-    _, extrapolated = solve_shape(shape, kind, h, levels, m)
-    return dataclasses.replace(extrapolated, domain_label=label)
+def _solve(shape, label, mesh, problems):
+    h, levels = mesh
+    solved = solve_shape(shape, problems, h, levels)
+    return {kind: dataclasses.replace(solved[kind][1], domain_label=label) for kind in problems}
 
 
 @pytest.fixture(scope="session")
@@ -36,13 +36,16 @@ def corpus_bundles():
     """Extrapolated spectra of all four problems on the whole corpus."""
     bundles = {}
     for label, shape in CORPUS.items():
+        membrane = _solve(shape, label, _MEMBRANE_MESH,
+                          {ProblemKind.DIRICHLET: max(M_MAX, K_MAX) + 1, ProblemKind.NEUMANN: K_MAX + 2})
+        plate = _solve(shape, label, _PLATE_MESH, {ProblemKind.CLAMPED: M_MAX + 1, ProblemKind.BUCKLING: 3})
         bundles[label] = DomainSpectra(
             label=label,
             dimension=2,
             area=shape.area,
-            dirichlet=_solve(shape, label, ProblemKind.DIRICHLET, max(M_MAX, K_MAX) + 1),
-            neumann=_solve(shape, label, ProblemKind.NEUMANN, K_MAX + 2),
-            clamped=_solve(shape, label, ProblemKind.CLAMPED, M_MAX + 1),
-            buckling=_solve(shape, label, ProblemKind.BUCKLING, 3),
+            dirichlet=membrane[ProblemKind.DIRICHLET],
+            neumann=membrane[ProblemKind.NEUMANN],
+            clamped=plate[ProblemKind.CLAMPED],
+            buckling=plate[ProblemKind.BUCKLING],
         )
     return bundles

@@ -7,7 +7,10 @@ import math
 import pytest
 
 from eigenineq.cli import ConfigError, load_config, main, parse_shape
+from eigenineq.grid import solve as solve_module
 from eigenineq.grid.domain import Disk, LShape, Rectangle
+from eigenineq.grid.solve import SolverError
+from eigenineq.spectra import ProblemKind
 
 
 def write_config(path, **overrides):
@@ -120,6 +123,51 @@ class TestVerify:
         assert summary["solver_errors"] and summary["solver_errors"][0]["domain"] == "degenerate"
         # the healthy domain still produced reports
         assert any(r["domain"] == "ok" for r in read_csv(out / "inequalities.csv"))
+
+    def test_failed_problem_leaves_the_others_solved(self, tmp_path, monkeypatch):
+        real = solve_module.smallest_eigs
+
+        def no_buckling(op, m, factors=None):
+            if op.kind is ProblemKind.BUCKLING:
+                raise SolverError("injected buckling failure")
+            return real(op, m, factors)
+
+        monkeypatch.setattr(solve_module, "smallest_eigs", no_buckling)
+        cfg = write_config(tmp_path / "c.json", problems=["dirichlet", "neumann", "clamped", "buckling"])
+        out = tmp_path / "out"
+        assert main(["--output-dir", str(out), "verify", str(cfg)]) == 1
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["solver_errors"] == [
+            {"domain": "unit_square", "problem": "buckling", "error": "injected buckling failure"}
+        ]
+        assert {r["problem"] for r in read_csv(out / "spectra.csv")} == {"dirichlet", "neumann", "clamped"}
+
+    @pytest.mark.parametrize("workers", ["-1", "0"])
+    def test_workers_below_one_rejected(self, tmp_path, capsys, workers):
+        cfg = write_config(tmp_path / "c.json")
+        out = tmp_path / "out"
+        assert main(["--output-dir", str(out), "verify", str(cfg), "--workers", workers]) == 2
+        assert "workers" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scale", ["-10", "nan", "inf"])
+    def test_bad_tolerance_scale_rejected(self, tmp_path, capsys, scale):
+        cfg = write_config(tmp_path / "c.json")
+        out = tmp_path / "out"
+        assert main(["--output-dir", str(out), "verify", str(cfg), "--tolerance-scale", scale]) == 2
+        assert "tolerance scale" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_tolerance_scale_means_no_allowance(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json")
+        out = tmp_path / "out"
+        assert main(["--output-dir", str(out), "verify", str(cfg), "--tolerance-scale", "0"]) == 0
+        spectra = read_csv(out / "spectra.csv")
+        assert {r["allowance"] for r in spectra if r["provenance"] == "discrete_extrapolated"} != {"0"}
+        rows = read_csv(out / "inequalities.csv")
+        # only the 1e-9 round-off floor is left of each tolerance
+        assert all(float(r["tolerance"]) <= 1e-9 * max(abs(float(r["lhs"])), abs(float(r["rhs"])), 1.0)
+                   for r in rows)
 
     def test_tolerance_scale_widens(self, tmp_path):
         cfg = write_config(tmp_path / "c.json")

@@ -98,19 +98,19 @@ class TestSmallestEigs:
             assert abs(got - want) < 1e-9 * want
 
     def test_neumann_square_zero_mode_and_mu1(self):
-        _, ext = solve_shape(Rectangle(1.0, 1.0), ProblemKind.NEUMANN, 1.0 / 128.0, 2, 3)
+        _, ext = solve_shape(Rectangle(1.0, 1.0), {ProblemKind.NEUMANN: 3}, 1.0 / 128.0, 2)[ProblemKind.NEUMANN]
         assert abs(ext.values[0]) <= 1e-8 * ext.values[1]
         assert abs(ext.values[1] - math.pi**2) / math.pi**2 < 0.01
 
     def test_disk_dirichlet_extrapolates_to_bessel_zero(self):
-        _, ext = solve_shape(Disk(1.0), ProblemKind.DIRICHLET, 1.0 / 64.0, 2, 3)
+        _, ext = solve_shape(Disk(1.0), {ProblemKind.DIRICHLET: 3}, 1.0 / 64.0, 2)[ProblemKind.DIRICHLET]
         ref = dirichlet_ball(BallSpec(2), 1).values[0]
         assert abs(ext.values[0] - ref) / ref < 0.005
         assert abs(ext.values[1] / ext.values[0] - 2.5387) < 5e-3
 
     def test_neumann_disk_mu1_within_one_percent(self):
         # also pins the deriv-zero root against the grid oracle
-        _, ext = solve_shape(Disk(1.0), ProblemKind.NEUMANN, 1.0 / 64.0, 2, 2)
+        _, ext = solve_shape(Disk(1.0), {ProblemKind.NEUMANN: 2}, 1.0 / 64.0, 2)[ProblemKind.NEUMANN]
         root_sq = specfun.bessel_j_deriv_zero(1.0, 1) ** 2
         assert abs(ext.values[1] - root_sq) / root_sq < 0.01
 
@@ -155,12 +155,12 @@ class TestExtrapolate:
         assert ext.provenance is Provenance.DISCRETE_EXTRAPOLATED
 
     def test_square_lambda1_converges(self):
-        _, ext = solve_shape(Rectangle(1.0, 1.0), ProblemKind.DIRICHLET, 1.0 / 32.0, 2, 1)
+        _, ext = solve_shape(Rectangle(1.0, 1.0), {ProblemKind.DIRICHLET: 1}, 1.0 / 32.0, 2)[ProblemKind.DIRICHLET]
         assert abs(ext.values[0] - 2.0 * math.pi**2) / (2.0 * math.pi**2) < 1e-4
 
     def test_metadata_mismatch_rejected(self):
-        sa, _ = solve_shape(Rectangle(1.0, 1.0), ProblemKind.DIRICHLET, 1.0 / 8.0, 2, 2)
-        sb, _ = solve_shape(Rectangle(1.0, 2.0), ProblemKind.DIRICHLET, 1.0 / 8.0, 2, 2)
+        sa, _ = solve_shape(Rectangle(1.0, 1.0), {ProblemKind.DIRICHLET: 2}, 1.0 / 8.0, 2)[ProblemKind.DIRICHLET]
+        sb, _ = solve_shape(Rectangle(1.0, 2.0), {ProblemKind.DIRICHLET: 2}, 1.0 / 8.0, 2)[ProblemKind.DIRICHLET]
         with pytest.raises(ValueError):
             extrapolate(sa[0], sb[1])
         with pytest.raises(ValueError):
@@ -168,10 +168,42 @@ class TestExtrapolate:
 
     def test_convergence_order_on_square(self):
         # |lambda_h - extrapolated| shrinks by >= 3.5x per halving
-        spectra, _ = solve_shape(Rectangle(1.0, 1.0), ProblemKind.DIRICHLET, 1.0 / 16.0, 3, 1)
+        spectra, _ = solve_shape(Rectangle(1.0, 1.0), {ProblemKind.DIRICHLET: 1}, 1.0 / 16.0, 3)[ProblemKind.DIRICHLET]
         exact = 2.0 * math.pi**2
         errs = [abs(s.values[0] - exact) for s in spectra]
         assert errs[0] / errs[1] > 3.5 and errs[1] / errs[2] > 3.5
+
+
+_FOUR = {ProblemKind.DIRICHLET: 5, ProblemKind.NEUMANN: 5, ProblemKind.CLAMPED: 4, ProblemKind.BUCKLING: 3}
+
+
+class TestSolveShape:
+    def test_one_rasterization_and_three_factors_per_level(self, monkeypatch):
+        from eigenineq.grid import solve as solve_module
+
+        calls = {"rasterize": 0, "assemble": 0, "_factor_spd": 0}
+
+        def counted(name):
+            real = getattr(solve_module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(solve_module, name, wrapper)
+
+        for name in calls:
+            counted(name)
+        solved = solve_shape(LShape(0.5, 0.5), _FOUR, 1.0 / 16.0, 2)
+        assert not any(isinstance(got, Exception) for got in solved.values())
+        # per level: one mask; Dirichlet, Neumann and clamped matrices; the
+        # buckling pair reuses the clamped factor
+        assert calls == {"rasterize": 2, "assemble": 6, "_factor_spd": 6}
+
+    def test_shared_solve_matches_single_problem_solves(self):
+        solved = solve_shape(LShape(0.5, 0.5), _FOUR, 1.0 / 16.0, 2)
+        for kind, m in _FOUR.items():
+            assert solved[kind] == solve_shape(LShape(0.5, 0.5), {kind: m}, 1.0 / 16.0, 2)[kind]
 
 
 class TestRayleighQuotient:
@@ -220,19 +252,19 @@ class TestInvariants:
         shapes = [Rectangle(1.0, 1.0), Rectangle(math.sqrt(2.0), math.sqrt(0.5)), Disk(1.0 / math.sqrt(math.pi))]
         lam1 = []
         for shape in shapes:
-            _, ext = solve_shape(shape, ProblemKind.DIRICHLET, 1.0 / 64.0, 2, 1)
+            _, ext = solve_shape(shape, {ProblemKind.DIRICHLET: 1}, 1.0 / 64.0, 2)[ProblemKind.DIRICHLET]
             lam1.append(ext.values[0])
         assert lam1[2] < lam1[0] < lam1[1]
 
     def test_buckling_positive_and_disk_ratio(self):
-        _, ext = solve_shape(Disk(1.0), ProblemKind.BUCKLING, 1.0 / 48.0, 2, 2)
+        _, ext = solve_shape(Disk(1.0), {ProblemKind.BUCKLING: 2}, 1.0 / 48.0, 2)[ProblemKind.BUCKLING]
         assert all(v > 0.0 for v in ext.values)
         ball = buckling_ball(BallSpec(2), 2)
         assert abs(ext.values[1] / ext.values[0] - ball.values[1] / ball.values[0]) < 2e-2
 
     def test_clamped_disk_second_mode_matches_secular(self):
         # pins the l=1 assignment of the second clamped-ball eigenvalue
-        _, ext = solve_shape(Disk(1.0), ProblemKind.CLAMPED, 1.0 / 48.0, 2, 2)
+        _, ext = solve_shape(Disk(1.0), {ProblemKind.CLAMPED: 2}, 1.0 / 48.0, 2)[ProblemKind.CLAMPED]
         ball = clamped_ball(BallSpec(2), 2)
         for got, want in zip(ext.values, ball.values):
             assert abs(got - want) / want < 0.03
