@@ -30,6 +30,7 @@ from .twoball import TALENTI_D_PRIME, c_constant, curve_table, d_constant
 
 _SCHEMA_VERSION = 1
 _SUMMARY_VERSION = 1
+_CONFIG_KEYS = {"schema_version", "domains", "problems", "mesh", "m_max", "k_max", "inequalities", "output_dir"}
 
 
 class ConfigError(ValueError):
@@ -96,6 +97,9 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"config parse error at {path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     if cfg.get("schema_version") != _SCHEMA_VERSION:
         raise ConfigError(f"config schema_version must be {_SCHEMA_VERSION}")
+    unknown = set(cfg) - _CONFIG_KEYS
+    if unknown:
+        raise ConfigError(f"unknown config keys {sorted(unknown)}")
     domains = cfg.get("domains")
     if not domains:
         raise ConfigError("config needs a nonempty 'domains' list")
@@ -245,9 +249,12 @@ def run_spectrum(shape_desc: str, problem: str, h: float, levels: int, m: int, o
     kind = ProblemKind(problem)
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    got = solve_shape(shape, {kind: m}, h, levels)[kind]
-    if isinstance(got, Exception):
-        raise got
+    try:
+        got = solve_shape(shape, {kind: m}, h, levels)[kind]
+        if isinstance(got, Exception):
+            raise got
+    except ValueError as exc:  # a shape that does not rasterize, or levels or m the mesh cannot give
+        raise ConfigError(str(exc)) from exc
     level_spectra, extrapolated = got
     _write_spectra(out / "spectrum.csv", [*level_spectra, extrapolated])
     return 0
@@ -288,7 +295,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "verify":
             config = load_config(args.config)
-            out = args.output_dir or os.environ.get("EIGENINEQ_OUT") or config.get("output_dir") or "."
+            out = _output_dir(args, config.get("output_dir") or ".")
             return run_verify(config, out, args.tolerance_scale, args.workers)
         if args.command == "constants":
             return run_constants(_parse_n_list(args.n), _output_dir(args))

@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 
 from eigenineq.balls import BallSpec, buckling_ball, clamped_ball, dirichlet_ball, rectangle_spectrum
-from eigenineq.catalog import chain_check, eval_isoperimetric, eval_polya, evaluate_all, hile_yeh_cubic_root
+from eigenineq.catalog import chain_check, check, evaluate_all, hile_yeh_cubic_root
 from eigenineq.grid import Disk, Rectangle, rasterize, solve_shape
 from eigenineq.rearrange import GridFunction, decreasing_rearrangement, distribution, product_bound_check, talenti_compare
 from eigenineq.spectra import ProblemKind
@@ -125,7 +125,7 @@ def test_criterion_6_inequality_suite(corpus_bundles):
             if r.status == "proven" and not r.holds:
                 failures.append((label, r.id, r.m, r.slack, r.tolerance_used))
         for m in range(1, 6):
-            ch = chain_check(bundle.dirichlet, 2, m)
+            ch = chain_check(bundle, m)
             if not (ch.ordering_ok and ch.implications_ok):
                 chain_failures.append((label, m))
     ok = not failures and not chain_failures
@@ -171,9 +171,9 @@ def test_criterion_7_rearrangement_properties():
 def test_criterion_8_isoperimetric_checks(corpus_bundles):
     problems = []
     for label, bundle in corpus_bundles.items():
-        fk = eval_isoperimetric("faber_krahn", bundle, 2, bundle.area)
-        sw = eval_isoperimetric("szego_weinberger", bundle, 2, bundle.area)
-        fx = eval_isoperimetric("fixed_lambda1", bundle, 2, bundle.area)
+        fk = check("faber_krahn", bundle)
+        sw = check("szego_weinberger", bundle)
+        fx = check("fixed_lambda1", bundle)
         if not (fk.holds and sw.holds and fx.holds):
             problems.append((label, "violated"))
         for r in (fk, sw):
@@ -188,10 +188,10 @@ def test_criterion_8_isoperimetric_checks(corpus_bundles):
 def test_criterion_9_polya_reports(corpus_bundles):
     bad = []
     for label, bundle in corpus_bundles.items():
-        for rep in eval_polya("polya_dirichlet", bundle.dirichlet, bundle.area, K_MAX):
+        for rep in (check("polya_dirichlet", bundle, k) for k in range(1, K_MAX + 1)):
             if rep.status != "conjecture" or not rep.holds:
                 bad.append((label, "dirichlet", rep.m))
-        for rep in eval_polya("polya_neumann", bundle.neumann, bundle.area, K_MAX):
+        for rep in (check("polya_neumann", bundle, k) for k in range(0, K_MAX + 1)):
             if rep.status != "conjecture" or not rep.holds:
                 bad.append((label, "neumann", rep.m))
     _report(9, not bad, f"violations: {bad or 'none'} (k <= {K_MAX}, full corpus)")

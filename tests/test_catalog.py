@@ -1,5 +1,6 @@
-"""Inequality evaluators on closed-form and synthetic spectra."""
+"""Inequality table rows on closed-form and synthetic spectra."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -18,12 +19,7 @@ from eigenineq.catalog import (
     DomainSpectra,
     SpectrumTooShort,
     chain_check,
-    eval_buckling,
-    eval_isoperimetric,
-    eval_membrane_gap,
-    eval_membrane_low,
-    eval_plate,
-    eval_polya,
+    check,
     evaluate_all,
     hile_yeh_cubic_root,
 )
@@ -32,6 +28,11 @@ from eigenineq.spectra import ProblemKind, Provenance, Spectrum
 
 def synthetic(kind, values, label="synthetic"):
     return Spectrum(kind, 2, tuple(values), label, Provenance.CLOSED_FORM)
+
+
+def alone(spectrum, area=1.0):
+    """A bundle holding only `spectrum`."""
+    return DomainSpectra(spectrum.domain_label, spectrum.dimension, area, **{spectrum.kind.value: spectrum})
 
 
 @pytest.fixture(scope="module")
@@ -50,7 +51,7 @@ def disk_bundle():
 
 class TestMembraneGap:
     def test_ppw_gap_disk_m1(self, disk_bundle):
-        r = eval_membrane_gap("ppw_gap", disk_bundle.dirichlet, 2, 1)
+        r = check("ppw_gap", disk_bundle, 1)
         lam1 = disk_bundle.dirichlet.values[0]
         assert abs(r.lhs / lam1 - 2.5387) < 5e-4
         assert abs(r.rhs / lam1 - 3.0) < 1e-12
@@ -58,28 +59,28 @@ class TestMembraneGap:
 
     def test_yang1_leq_yang2_any_spectrum(self, disk_bundle):
         for m in range(1, 8):
-            r1 = eval_membrane_gap("yang1", disk_bundle.dirichlet, 2, m)
-            r2 = eval_membrane_gap("yang2", disk_bundle.dirichlet, 2, m)
+            r1 = check("yang1", disk_bundle, m)
+            r2 = check("yang2", disk_bundle, m)
             assert r1.rhs <= r2.rhs + 1e-12 * r2.rhs
 
     def test_hile_protter_hand_value(self):
         spec = synthetic(ProblemKind.DIRICHLET, (1.0, 2.0, 3.0))
-        r = eval_membrane_gap("hile_protter", spec, 2, 2)
+        r = check("hile_protter", alone(spec), 2)
         assert r.lhs == 1.0  # m n / 4
         assert abs(r.rhs - Fraction(5, 2)) < 1e-12  # 1/(3-1) + 2/(3-2)
         assert r.holds
 
     def test_hile_protter_degenerate_gap(self):
         spec = synthetic(ProblemKind.DIRICHLET, (1.0, 2.0, 2.0))
-        r = eval_membrane_gap("hile_protter", spec, 2, 2)
+        r = check("hile_protter", alone(spec), 2)
         assert math.isinf(r.rhs) and r.holds and "degenerate" in r.note
 
     @pytest.mark.parametrize("id", ["hile_protter", "hile_yeh", "conj_356", "cheb_357"])
     def test_gap_within_round_off_is_degenerate(self, id):
         def report(split):
             if id == "hile_protter":
-                return eval_membrane_gap(id, synthetic(ProblemKind.DIRICHLET, (1.0, 2.0, 2.0 + split)), 2, 2)
-            return eval_plate(id, synthetic(ProblemKind.CLAMPED, (1.0, 2.0, 2.0 + split)), 2, 2)
+                return check(id, alone(synthetic(ProblemKind.DIRICHLET, (1.0, 2.0, 2.0 + split))), 2)
+            return check(id, alone(synthetic(ProblemKind.CLAMPED, (1.0, 2.0, 2.0 + split))), 2)
 
         r = report(1e-12)
         assert math.isinf(r.rhs) and r.holds and "degenerate" in r.note
@@ -89,18 +90,18 @@ class TestMembraneGap:
 
     def test_yang_discriminant_clamped_on_equal_spectrum(self):
         spec = synthetic(ProblemKind.DIRICHLET, (2.0, 2.0 + 1e-10, 2.0 + 2e-10))
-        r = eval_membrane_gap("yang1", spec, 2, 2)
+        r = check("yang1", alone(spec), 2)
         assert abs(r.rhs - 6.0) < 1e-8  # (1 + 4/n) lambda_1 with zero variance
 
     def test_spectrum_too_short(self, disk_bundle):
         with pytest.raises(SpectrumTooShort):
-            eval_membrane_gap("ppw_gap", synthetic(ProblemKind.DIRICHLET, (1.0, 2.0)), 2, 2)
+            check("ppw_gap", alone(synthetic(ProblemKind.DIRICHLET, (1.0, 2.0))), 2)
 
 
 class TestMembraneLow:
     def test_brands_square_fraction_oracle(self):
         spec = rectangle_spectrum(1.0, 1.0, ProblemKind.DIRICHLET, 3)
-        r = eval_membrane_low("brands", spec, 2)
+        r = check("brands", alone(spec))
         # separable integers: lambda proportional to (2, 5, 5)
         want_lhs = Fraction(5 + 5, 2)
         want_rhs = Fraction(5, 1) + Fraction(2, 5)
@@ -110,33 +111,41 @@ class TestMembraneLow:
 
     def test_sum_n4_square(self):
         spec = rectangle_spectrum(1.0, 1.0, ProblemKind.DIRICHLET, 3)
-        r = eval_membrane_low("sum_n4", spec, 2)
+        r = check("sum_n4", alone(spec))
         assert r.holds and abs(r.lhs - 5.0) < 1e-12 and r.rhs == 6.0
 
     def test_l3_window_sqrt8_sqrt3(self):
         spec = rectangle_spectrum(math.sqrt(8.0), math.sqrt(3.0), ProblemKind.DIRICHLET, 3)
-        r = eval_membrane_low("l3_window", spec, 2)
+        r = check("l3_window", alone(spec))
         assert abs(r.lhs - Fraction(35, 11)) < 1e-12
         assert r.rhs == 3.83103 and r.holds
         assert "window" in r.note
 
     def test_l2l3_window_disk_attains_lower_end(self, disk_bundle):
-        r = eval_membrane_low("l2l3_window", disk_bundle.dirichlet, 2)
+        r = check("l2l3_window", disk_bundle)
         assert abs(r.lhs - 5.077) < 1e-2
         assert r.status == "conjecture"
 
-    def test_window_rejects_wrong_dimension(self):
-        spec = Spectrum(ProblemKind.DIRICHLET, 3, tuple(dirichlet_ball(BallSpec(3), 4).values),
-                        "ball3", Provenance.CLOSED_FORM)
-        with pytest.raises(ValueError):
-            eval_membrane_low("l3_window", spec, 3)
+    @pytest.mark.parametrize("id,n", [("l2l3_window", 3), ("l3_window", 3), ("rayleigh_plate", 4),
+                                      ("polya_dirichlet", 3), ("polya_neumann", 3)])
+    def test_window_rejects_wrong_dimension(self, id, n):
+        # every spectrum is present and long enough, so only the dimension can reject
+        ball = BallSpec(n)
+        bundle = DomainSpectra(
+            f"ball{n}", n, 1.0,
+            dirichlet=dirichlet_ball(ball, 4),
+            neumann=Spectrum(ProblemKind.NEUMANN, n, (0.0, 1.0, 2.0, 3.0), f"ball{n}", Provenance.CLOSED_FORM),
+            clamped=clamped_ball(ball, 2),
+        )
+        with pytest.raises(ValueError, match="dimension"):
+            check(id, bundle, None if CATALOG[id].per is None else 1)
 
 
 class TestIsoperimetric:
     def test_disk_equality_cases(self, disk_bundle):
         for iid in ("faber_krahn", "szego_weinberger", "ppw_ratio", "fixed_lambda1",
                     "payne_buckling", "rayleigh_plate", "polya_szego_buckling"):
-            r = eval_isoperimetric(iid, disk_bundle, 2, math.pi)
+            r = check(iid, disk_bundle)
             assert r.holds
             assert abs(r.slack) <= max(r.tolerance_used, 1e-9 * abs(r.rhs)), iid
 
@@ -146,20 +155,20 @@ class TestIsoperimetric:
             dirichlet=rectangle_spectrum(1.0, 1.0, ProblemKind.DIRICHLET, 4),
             neumann=rectangle_spectrum(1.0, 1.0, ProblemKind.NEUMANN, 4),
         )
-        r = eval_isoperimetric("faber_krahn", square, 2, 1.0)
+        r = check("faber_krahn", square)
         # 2 pi^2 > pi j_{0,1}^2
         assert abs(r.rhs - 2.0 * math.pi**2) < 1e-12
         assert abs(r.lhs - math.pi * 5.783185962946785) < 1e-9
         assert r.slack > 1.0
-        r = eval_isoperimetric("szego_weinberger", square, 2, 1.0)
+        r = check("szego_weinberger", square)
         assert r.holds and r.slack > 0.5
 
     def test_krahn_l2_disk_strict(self, disk_bundle):
-        r = eval_isoperimetric("krahn_l2", disk_bundle, 2, math.pi)
+        r = check("krahn_l2", disk_bundle)
         assert r.holds and r.slack > 1.0  # saturated only by two disjoint balls
 
     def test_bramble_payne_uses_c2(self, disk_bundle):
-        r = eval_isoperimetric("bramble_payne", disk_bundle, 2, math.pi)
+        r = check("bramble_payne", disk_bundle)
         lam1_ball = disk_bundle.buckling.values[0]
         assert abs(r.lhs - 0.7877 * lam1_ball) < 1e-3 * lam1_ball
         assert r.holds
@@ -167,7 +176,7 @@ class TestIsoperimetric:
     def test_missing_spectrum_raises(self):
         empty = DomainSpectra("nothing", 2, 1.0)
         with pytest.raises(SpectrumTooShort):
-            eval_isoperimetric("faber_krahn", empty, 2, 1.0)
+            check("faber_krahn", empty)
 
 
 class TestPlate:
@@ -182,67 +191,67 @@ class TestPlate:
             assert abs((x - 1.0) ** 3 - 512.0 * x / (n * n * (n + 2.0))) < 1e-9 * x
 
     def test_clamped_ball_ratio_below_cubic(self, disk_bundle):
-        r = eval_plate("hile_yeh_cubic", disk_bundle.clamped, 2)
+        r = check("hile_yeh_cubic", disk_bundle)
         assert abs(r.lhs - 4.3311) < 1e-3
         assert abs(r.rhs - 7.103) < 1e-3
         assert r.holds
 
     def test_sum_plate_saturates_extreme_profile(self):
         spec = synthetic(ProblemKind.CLAMPED, (1.0, 1.0, 25.0))
-        r = eval_plate("sum_plate", spec, 2)
+        r = check("sum_plate", alone(spec))
         assert abs(r.lhs - 26.0) < 1e-12 and r.rhs == 26.0 and r.holds
-        r = eval_plate("sum_plate_sqrt", spec, 2)
+        r = check("sum_plate_sqrt", alone(spec))
         assert abs(r.lhs - 6.0) < 1e-12 and r.rhs == 6.0 and r.holds
 
     def test_gap_bounds_on_ball(self, disk_bundle):
         for iid in ("ppw_plate_gap", "ppw_plate_gap_sqrt", "hile_yeh", "cheb_357", "ratio_165"):
-            r = eval_plate(iid, disk_bundle.clamped, 2, 1)
+            r = check(iid, disk_bundle, 1)
             assert r.holds, iid
 
 
 class TestBuckling:
     def test_rhs_values(self, disk_bundle):
-        r = eval_buckling("hile_yeh_buckling", disk_bundle.buckling, 2)
+        r = check("hile_yeh_buckling", disk_bundle)
         assert r.rhs == 2.5
         assert abs(r.lhs - 1.796) < 1e-2
         assert r.holds
-        r4 = eval_buckling("ppw_buckling", synthetic(ProblemKind.BUCKLING, (1.0, 1.5)), 4)
+        r4 = check("ppw_buckling", alone(Spectrum(ProblemKind.BUCKLING, 4, (1.0, 1.5), "ball4", Provenance.CLOSED_FORM)))
         assert r4.rhs == 2.0
 
     def test_sum_buckling_needs_n_plus_one(self, disk_bundle):
         spec = synthetic(ProblemKind.BUCKLING, (1.0, 1.5, 1.6))
-        r = eval_buckling("sum_buckling", spec, 2)
+        r = check("sum_buckling", alone(spec))
         assert abs(r.lhs - 3.1) < 1e-12 and r.rhs == 6.0
         with pytest.raises(SpectrumTooShort):
-            eval_buckling("sum_buckling", synthetic(ProblemKind.BUCKLING, (1.0, 1.5)), 2)
+            check("sum_buckling", alone(synthetic(ProblemKind.BUCKLING, (1.0, 1.5))))
 
 
 class TestPolya:
     def test_square_k1(self):
         spec = rectangle_spectrum(1.0, 1.0, ProblemKind.DIRICHLET, 2)
-        r = eval_polya("polya_dirichlet", spec, 1.0, 1)[0]
+        r = check("polya_dirichlet", alone(spec), 1)
         assert abs(r.lhs - 4.0 * math.pi) < 1e-12
         assert abs(r.rhs - 2.0 * math.pi**2) < 1e-12
         assert r.holds
 
     def test_neumann_k0_equality(self):
         spec = rectangle_spectrum(1.0, 1.0, ProblemKind.NEUMANN, 3)
-        r = eval_polya("polya_neumann", spec, 1.0, 2)[0]
+        r = check("polya_neumann", alone(spec), 0)
         assert r.m == 0 and r.lhs == 0.0 and r.rhs == 0.0 and r.holds
 
     def test_disk_k_to_10(self, disk_bundle):
-        reports = eval_polya("polya_dirichlet", disk_bundle.dirichlet, math.pi, 10)
+        reports = [check("polya_dirichlet", disk_bundle, k) for k in range(1, 11)]
         assert len(reports) == 10 and all(r.holds for r in reports)
 
 
 class TestChain:
     def test_disk_ordering_all_m(self, disk_bundle):
         for m in range(1, 6):
-            ch = chain_check(disk_bundle.dirichlet, 2, m)
+            ch = chain_check(disk_bundle, m)
             assert ch.ordering_ok and ch.implications_ok
 
     def test_m1_bounds_collapse(self, disk_bundle):
-        ch = chain_check(disk_bundle.dirichlet, 2, 1)
+        ch = chain_check(disk_bundle, 1)
         lam1 = disk_bundle.dirichlet.values[0]
         assert abs(ch.bound_yang1 - 3.0 * lam1) < 1e-10
         assert abs(ch.bound_yang2 - 3.0 * lam1) < 1e-10
@@ -276,3 +285,26 @@ class TestEvaluateAll:
         a = evaluate_all(disk_bundle, m_max=4)
         b = evaluate_all(disk_bundle, m_max=4)
         assert a == b
+
+    def test_every_report_carries_the_bundle_label(self, disk_bundle):
+        # the closed-form ball spectra are labelled "ball(n=2, R=1)"
+        assert disk_bundle.dirichlet.domain_label != "disk"
+        assert {r.domain for r in evaluate_all(disk_bundle, m_max=5)} == {"disk"}
+        assert chain_check(disk_bundle, 1).domain == "disk"
+
+    def test_formula_reading_outside_its_needs_is_rejected(self, disk_bundle, monkeypatch):
+        # the bundle holds a Neumann spectrum, but faber_krahn's tolerance would not include its allowance
+        row = dataclasses.replace(CATALOG["faber_krahn"],
+                                  formula=lambda values, n, m, area: (values("neumann", 2)[1], 1.0))
+        monkeypatch.setitem(CATALOG, "faber_krahn", row)
+        for run in (lambda: check("faber_krahn", disk_bundle),
+                    lambda: evaluate_all(disk_bundle, m_max=1, ids=["faber_krahn"])):
+            with pytest.raises(ValueError, match="not in its needs") as info:
+                run()
+            assert not isinstance(info.value, SpectrumTooShort)
+
+    def test_index_must_match_the_row(self, disk_bundle):
+        with pytest.raises(ValueError, match="no index"):
+            check("faber_krahn", disk_bundle, 1)
+        with pytest.raises(ValueError, match="an index m"):
+            check("ppw_gap", disk_bundle)

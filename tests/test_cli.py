@@ -73,6 +73,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match="no_such_bound"):
             load_config(str(cfg))
 
+    def test_unknown_top_level_key_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", concurrency=64, kmax=3)
+        with pytest.raises(ConfigError, match=r"\['concurrency', 'kmax'\]"):
+            load_config(str(cfg))
+        assert main(["verify", str(cfg)]) == 2
+        assert "concurrency" in capsys.readouterr().err
+
     def test_usage_error_exit_code(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", domains=[])
         assert main(["verify", str(cfg)]) == 2
@@ -227,3 +234,12 @@ class TestSpectrumCommand:
         assert main(["--output-dir", str(tmp_path), "spectrum", "--shape", "{oops",
                      "--problem", "dirichlet", "--h", "0.25"]) == 2
         assert "shape" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("shape,m", [
+        ('{"type": "rectangle", "width": 0.01, "height": 0.01}', "6"),  # does not rasterize
+        ('{"type": "rectangle", "width": 1.0, "height": 1.0}', "20"),  # more eigenvalues than the mesh has
+    ], ids=["unrasterizable", "m_too_large"])
+    def test_unsolvable_request_is_usage_error(self, tmp_path, capsys, shape, m):
+        assert main(["--output-dir", str(tmp_path), "spectrum", "--shape", shape,
+                     "--problem", "dirichlet", "--h", "0.25", "--m", m]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
