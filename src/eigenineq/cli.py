@@ -26,7 +26,7 @@ from .catalog import CATALOG, CONJECTURE, PROVEN, DomainSpectra, evaluate_all
 from .grid.domain import Annulus, Disk, Ellipse, LShape, Polygon, Rectangle, Shape
 from .grid.solve import SolverError, solve_shape
 from .spectra import ProblemKind
-from .twoball import TALENTI_D_PRIME, c_constant, curve_table, d_constant
+from .twoball import TALENTI_D_PRIME, c_constant, curve_table, d_constants
 
 _SCHEMA_VERSION = 1
 _SUMMARY_VERSION = 1
@@ -95,6 +95,8 @@ def load_config(path: str) -> dict:
         cfg = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config parse error at {path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config {path} must hold a JSON object, got {type(cfg).__name__}")
     if cfg.get("schema_version") != _SCHEMA_VERSION:
         raise ConfigError(f"config schema_version must be {_SCHEMA_VERSION}")
     unknown = set(cfg) - _CONFIG_KEYS
@@ -135,8 +137,6 @@ def run_verify(config: dict, output_dir: str, tolerance_scale: float = 1.0, work
         raise ConfigError(f"tolerance scale must be finite and >= 0, got {tolerance_scale}")
     if workers is not None and workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
-    out = Path(output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     h = float(config["mesh"]["h"])
     levels = int(config["mesh"]["levels"])
     m_max = int(config["m_max"])
@@ -146,6 +146,8 @@ def run_verify(config: dict, output_dir: str, tolerance_scale: float = 1.0, work
     domains = [(d.get("label") or parse_shape(d["shape"]).label, parse_shape(d["shape"])) for d in config["domains"]]
     if len({label for label, _ in domains}) != len(domains):
         raise ConfigError("domain labels must be unique")
+    out = Path(output_dir)
+    out.mkdir(parents=True, exist_ok=True)
 
     def m_for(problem):
         if problem in (ProblemKind.DIRICHLET, ProblemKind.NEUMANN):
@@ -202,28 +204,41 @@ def run_verify(config: dict, output_dir: str, tolerance_scale: float = 1.0, work
 
 
 def _parse_n_list(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(tok) for tok in text.split(",") if tok]
+    try:
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            ns = list(range(int(lo), int(hi) + 1))
+        else:
+            ns = [int(tok) for tok in text.split(",") if tok]
+    except ValueError as exc:
+        raise ConfigError(f"--n must be a range like 2..8 or a list like 2,4,6, got {text!r}") from exc
+    if not ns:
+        raise ConfigError(f"--n names no dimension: {text!r}")
+    return ns
 
 
 def run_constants(n_list, output_dir: str) -> int:
-    """CSV table of c_n, d_n, the minimizing t and the endpoint value."""
-    out = Path(output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for n in sorted(set(n_list)):
+    """CSV table of c_n, d_n, the minimizing t and the endpoint value.
+
+    Every n is checked before any is solved, and the two-ball constants of
+    all n are solved in one batch.
+    """
+    ns = sorted(set(n_list))
+    for n in ns:
         if n < 2:
             raise ConfigError(f"dimensions must be >= 2, got {n}")
-        d = d_constant(n)
-        rows.append((n, c_constant(n), d.d_n, d.minimizer_t, d.ball_value, TALENTI_D_PRIME.get(n)))
+    ds = d_constants(ns)
+    rows = [(n, c_constant(n), d.d_n, d.minimizer_t, d.ball_value, TALENTI_D_PRIME.get(n)) for n, d in ds.items()]
+    out = Path(output_dir)
+    out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "constants.csv", ["n", "c_n", "d_n", "minimizer_t", "J_endpoint", "d_prime_ref"], rows)
     return 0
 
 
 def run_curve(n: int, points: int, output_dir: str) -> int:
     """CSV of the normalized two-ball curve J(t)/Gamma_1(B_1) on a uniform grid."""
+    if n < 2:
+        raise ConfigError(f"dimension must be >= 2, got {n}")
     if points < 2:
         raise ConfigError(f"need at least 2 curve points, got {points}")
     out = Path(output_dir)
@@ -247,8 +262,6 @@ def run_spectrum(shape_desc: str, problem: str, h: float, levels: int, m: int, o
         raise ConfigError(f"bad shape JSON: {exc}") from exc
     shape = parse_shape(desc)
     kind = ProblemKind(problem)
-    out = Path(output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     try:
         got = solve_shape(shape, {kind: m}, h, levels)[kind]
         if isinstance(got, Exception):
@@ -256,6 +269,8 @@ def run_spectrum(shape_desc: str, problem: str, h: float, levels: int, m: int, o
     except ValueError as exc:  # a shape that does not rasterize, or levels or m the mesh cannot give
         raise ConfigError(str(exc)) from exc
     level_spectra, extrapolated = got
+    out = Path(output_dir)
+    out.mkdir(parents=True, exist_ok=True)
     _write_spectra(out / "spectrum.csv", [*level_spectra, extrapolated])
     return 0
 

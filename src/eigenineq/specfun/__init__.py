@@ -4,9 +4,10 @@ Values come from ``scipy.special`` (``jv``, ``iv``, ``ive``); this module
 adds argument validation, the I_v overflow guard, derivatives, and zeros
 by scan-bracketing plus safeguarded Newton (``_zeros``), which, unlike
 ``scipy.special.jn_zeros``, handles the half-integer orders of odd
-dimensions. The two pair functions also take an ndarray argument and
-return arrays, so batched callers share this one validated layer. All
-functions are pure and safe to call concurrently.
+dimensions. The two pair functions also take ndarray orders and
+arguments, broadcast against each other, and return arrays, so batched
+callers share this one validated layer. All functions are pure and safe
+to call concurrently.
 """
 
 import math
@@ -46,15 +47,18 @@ def _check_order_arg(v, x):
         raise ValueError(f"argument must be nonnegative, got {x}")
 
 
-def _check_order_args(v, x: np.ndarray):
-    """The rules of _check_order_arg, applied to every element of x."""
-    bad = x[~(np.isfinite(x) & (x >= 0.0))]
-    _check_order_arg(v, float(bad[0]) if bad.size else 0.0)
+def _check_order_args(v, x):
+    """The rules of _check_order_arg, applied to every element of broadcast (v, x)."""
+    ok = np.isfinite(v) & np.isfinite(x) & (v >= 0.0) & (x >= 0.0)
+    if not ok.all():
+        v, x = np.broadcast_arrays(v, x)
+        i = np.flatnonzero(~ok)[0]
+        _check_order_arg(float(v.flat[i]), float(x.flat[i]))
 
 
 def _pair(fn, v, x):
-    """(fn(v, x), fn(v + 1, x)) as floats, or as arrays for an ndarray x."""
-    if isinstance(x, np.ndarray):
+    """(fn(v, x), fn(v + 1, x)) as floats, or as broadcast arrays when v or x is an ndarray."""
+    if isinstance(v, np.ndarray) or isinstance(x, np.ndarray):
         _check_order_args(v, x)
         return fn(v, x), fn(v + 1.0, x)
     _check_order_arg(v, x)
@@ -67,8 +71,8 @@ def bessel_j(v: float, x: float) -> float:
     return float(special.jv(v, x))
 
 
-def bessel_j_pair(v: float, x):
-    """(J_v(x), J_{v+1}(x)); elementwise arrays for an ndarray x."""
+def bessel_j_pair(v, x):
+    """(J_v(x), J_{v+1}(x)); elementwise arrays when v or x is an ndarray."""
     return _pair(special.jv, v, x)
 
 
@@ -93,9 +97,9 @@ def bessel_i(v: float, x: float) -> float:
     return float(special.iv(v, x))
 
 
-def bessel_i_scaled_pair(v: float, x):
+def bessel_i_scaled_pair(v, x):
     """(e^-x I_v(x), e^-x I_{v+1}(x)); safe for any finite x >= 0, and
-    elementwise arrays for an ndarray x."""
+    elementwise arrays when v or x is an ndarray."""
     return _pair(special.ive, v, x)
 
 

@@ -56,7 +56,24 @@ class DConstantResult:
     curve: tuple[tuple[float, float], ...]  # (t, J(t)/ball_value) samples
 
 
-def secular_det(n: int, a, mu):
+def _radii(n, a):
+    """(b, a^(n-1), b^(n-1)) for broadcast 1-d n and a, b = (1 - a^n)^(1/n).
+
+    Each distinct n is raised as a scalar exponent, so an array of
+    dimensions gives bit for bit what one call per dimension gives: numpy
+    takes an exact square or square root for the scalar exponents 2 and
+    0.5, but the general power for an array of exponents.
+    """
+    b, ah, bh = np.empty((3,) + a.shape)
+    for m in np.unique(n).tolist():
+        sel = n == m
+        am = a[sel]
+        bm = (1.0 - am**m) ** (1.0 / m)
+        b[sel], ah[sel], bh[sel] = bm, am ** (m - 1.0), bm ** (m - 1.0)
+    return b, ah, bh
+
+
+def secular_det(n, a, mu):
     """Determinant whose sign changes bracket the two-ball eigenvalues.
 
     Columns are the J/I coefficients on B_a then B_b; rows impose
@@ -65,18 +82,22 @@ def secular_det(n: int, a, mu):
     both are positive rescalings, so root locations and sign changes are
     preserved even where I_nu would overflow.
 
-    `a` and `mu` broadcast against each other: array input builds one
-    stacked (..., 4, 4) matrix and returns the array of determinants;
+    `n`, `a` and `mu` broadcast against each other: array input builds
+    one stacked (..., 4, 4) matrix and returns the array of determinants;
     scalar input returns a float.
     """
-    a, mu = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(mu, dtype=float))
+    n, a, mu = np.broadcast_arrays(np.asarray(n), np.asarray(a, dtype=float), np.asarray(mu, dtype=float))
     bad_a = a[~((0.0 < a) & (a < 1.0))]
     if bad_a.size:
         raise ValueError(f"a must lie strictly between 0 and 1, got {bad_a[0]}")
     bad_mu = mu[~(mu > 0.0)]
     if bad_mu.size:
         raise ValueError(f"mu must be positive, got {bad_mu[0]}")
-    b = (1.0 - a**n) ** (1.0 / n)
+    shape = a.shape
+    n, a, mu = n.ravel(), a.ravel(), mu.ravel()
+    # columns are pre-scaled by a^nu (resp. b^nu), so the flux row carries
+    # a^(n-1) = a^(n/2) * a^nu
+    b, ah, bh = _radii(n, a)
     nu = n / 2.0 - 1.0
     k = mu**0.25
     ka, kb = k * a, k * b
@@ -84,23 +105,14 @@ def secular_det(n: int, a, mu):
     ia, ia1 = specfun.bessel_i_scaled_pair(nu, ka)
     jb, jb1 = specfun.bessel_j_pair(nu, kb)
     ib, ib1 = specfun.bessel_i_scaled_pair(nu, kb)
-    # columns are pre-scaled by a^nu (resp. b^nu), so the flux row carries
-    # a^(n-1) = a^(n/2) * a^nu
-    ah = a ** (n - 1.0)
-    bh = b ** (n - 1.0)
-    zero = np.zeros_like(ja)
-    rows = np.stack(
-        [
-            np.stack([ja, ia, zero, zero], axis=-1),
-            np.stack([zero, zero, jb, ib], axis=-1),
-            np.stack([-ah * ja1, ah * ia1, bh * jb1, -bh * ib1], axis=-1),
-            np.stack([-ja, ia, -jb, ib], axis=-1),
-        ],
-        axis=-2,
-    )
-    scale = np.abs(rows).max(axis=-1, keepdims=True)
+    rows = np.zeros((4, 4) + ja.shape)  # (row, column, radius)
+    rows[0, :2] = ja, ia
+    rows[1, 2:] = jb, ib
+    rows[2] = -ah * ja1, ah * ia1, bh * jb1, -bh * ib1
+    rows[3] = -ja, ia, -jb, ib
+    scale = np.abs(rows).max(axis=1, keepdims=True)
     rows /= np.where(scale > 0.0, scale, 1.0)
-    det = np.linalg.det(rows)
+    det = np.linalg.det(np.moveaxis(rows, -1, 0)).reshape(shape)
     return float(det) if det.ndim == 0 else det
 
 
@@ -109,39 +121,65 @@ def ball_eigenvalue(n: int) -> float:
     return clamped_radial_root(n, 0) ** 4
 
 
-def _J_many(n: int, a, k0: float) -> np.ndarray:
+def _scan_grids(k0s):
+    """k and mu = k^4 on the scan grid of each root in `k0s`: NaN-padded rows.
+
+    A grid starts at 0.5 k0 and adds k0/50 until it reaches 2 k0. Steps
+    and powers are taken in Python floats, one root at a time, so a
+    radius meets the same k and mu whatever else shares its batch.
+    """
+    grids = []
+    for k0 in k0s:
+        step = k0 / 50.0
+        ks = [0.5 * k0]
+        while ks[-1] < 2.0 * k0:
+            ks.append(ks[-1] + step)
+        grids.append(ks)
+    ks = np.full((len(grids), max(map(len, grids), default=1)), np.nan)
+    mus = ks.copy()
+    for row, grid in enumerate(grids):
+        ks[row, : len(grid)] = grid
+        mus[row, : len(grid)] = [k**4 for k in grid]
+    return ks, mus
+
+
+def _J_many(n, a, k0) -> np.ndarray:
     """Smallest two-ball eigenvalue at every first-ball radius in `a`.
 
-    All radii advance in lockstep, one stacked determinant per step.
+    `n`, `a` and `k0` (the clamped unit-ball root of each n) broadcast
+    against each other, so one batch can mix dimensions. All radii
+    advance in lockstep, one stacked determinant per step.
     Near-degenerate endpoints (min(a, b) < 1e-3) take the analytic
-    endpoint value k0^4. Every other radius scans k = mu^(1/4) from
-    0.5 k0 in steps of k0/50 up to 2 k0 (k0 the clamped unit-ball root)
-    and stops at its own first sign change; the bracket is then bisected
-    until its width is at most 2.5e-10 of its lower end, i.e. 1e-9
-    relative in mu. Radii whose scan finds no sign change get NaN.
+    endpoint value k0^4. Every other radius scans k = mu^(1/4) over its
+    own grid, from 0.5 k0 in steps of k0/50 up to 2 k0, and stops at its
+    first sign change; the bracket is then bisected until its width is at
+    most 2.5e-10 of its lower end, i.e. 1e-9 relative in mu. Radii whose
+    scan finds no sign change get NaN.
     """
-    a = np.asarray(a, dtype=float)
+    n, a, k0 = np.broadcast_arrays(np.asarray(n), np.asarray(a, dtype=float), np.asarray(k0, dtype=float))
+    shape = a.shape
+    n, a, k0 = n.ravel(), a.ravel(), k0.ravel()
+    k0s, grid = np.unique(k0, return_inverse=True)  # one scan grid per distinct k0
+    ks, mus = _scan_grids(k0s.tolist())
     out = np.full(a.shape, np.nan)
-    b = (1.0 - a**n) ** (1.0 / n)
-    endpoint = np.minimum(a, b) < _ENDPOINT_GUARD
-    out[endpoint] = k0**4
+    endpoint = np.minimum(a, _radii(n, a)[0]) < _ENDPOINT_GUARD
+    out[endpoint] = np.array([k**4 for k in k0s.tolist()])[grid[endpoint]]
 
-    # scan: the k grid is accumulated step by step, the same for every radius
-    step = k0 / 50.0
-    ks = [0.5 * k0]
-    while ks[-1] < 2.0 * k0:
-        ks.append(ks[-1] + step)
+    # scan: step j compares each radius's grid points j - 1 and j
     lo, hi, flo = np.full((3,) + a.shape, np.nan)  # sign-change brackets
     idx = np.flatnonzero(~endpoint)
-    f_prev = secular_det(n, a[idx], ks[0] ** 4)
-    for k_lo, k_hi in zip(ks, ks[1:]):
+    f_prev = secular_det(n[idx], a[idx], mus[grid[idx], 0])
+    for j in range(1, ks.shape[1]):
+        on_grid = ~np.isnan(ks[grid[idx], j])
+        idx, f_prev = idx[on_grid], f_prev[on_grid]
         if idx.size == 0:
             break
-        f = secular_det(n, a[idx], k_hi**4)
+        g = grid[idx]
+        f = secular_det(n[idx], a[idx], mus[g, j])
         root = f == 0.0
-        out[idx[root]] = k_hi**4
+        out[idx[root]] = mus[g[root], j]
         change = ~root & ((f < 0.0) != (f_prev < 0.0))
-        lo[idx[change]], hi[idx[change]], flo[idx[change]] = k_lo, k_hi, f_prev[change]
+        lo[idx[change]], hi[idx[change]], flo[idx[change]] = ks[g[change], j - 1], ks[g[change], j], f_prev[change]
         live = ~(root | change)
         idx, f_prev = idx[live], f[live]
 
@@ -152,7 +190,7 @@ def _J_many(n: int, a, k0: float) -> np.ndarray:
         if idx.size == 0:
             break
         mid = 0.5 * (lo + hi)
-        fm = secular_det(n, a[idx], mid**4)
+        fm = secular_det(n[idx], a[idx], mid**4)
         zero = fm == 0.0
         same = (fm < 0.0) == (flo < 0.0)
         lo = np.where(zero | same, mid, lo)
@@ -162,7 +200,7 @@ def _J_many(n: int, a, k0: float) -> np.ndarray:
         out[idx[done]] = (0.5 * (lo[done] + hi[done])) ** 4
         idx, lo, hi, flo = idx[~done], lo[~done], hi[~done], flo[~done]
     out[idx] = (0.5 * (lo + hi)) ** 4
-    return out
+    return out.reshape(shape)
 
 
 def J_of_a(n: int, a: float, _k0: float | None = None) -> TwoBallResult:
@@ -188,59 +226,102 @@ def _t_to_a(t, n: int):
     return t ** (1.0 / n)
 
 
-def _J_of_t(n: int, ts: np.ndarray, k0: float) -> np.ndarray:
-    """_J_many over t = a^n, raising ConvergenceError on the first failed root."""
-    js = _J_many(n, _t_to_a(ts, n), k0)
-    failed = ts[np.isnan(js)]
-    if failed.size:
-        raise ConvergenceError(f"two-ball bracketing failed for n={n} at t={failed.tolist()}")
-    return js
+def _J_of_t(ts: dict, k0: dict):
+    """_J_many over t = a^n for every n of `ts` ({n: t array}) in one batch.
+
+    Returns ({n: J values}, {n: ConvergenceError}), the latter for each n
+    with a failed root.
+    """
+    sizes = [len(t) for t in ts.values()]
+    js = _J_many(
+        np.repeat(list(ts), sizes),
+        np.concatenate([_t_to_a(t, n) for n, t in ts.items()]),
+        np.repeat([k0[n] for n in ts], sizes),
+    )
+    js = dict(zip(ts, np.split(js, np.cumsum(sizes)[:-1])))
+    failed = {n: ts[n][np.isnan(j)].tolist() for n, j in js.items()}
+    return js, {n: ConvergenceError(f"two-ball bracketing failed for n={n} at t={t}") for n, t in failed.items() if t}
+
+
+def d_constants(ns, grid_points: int = 65) -> dict[int, DConstantResult]:
+    """{n: d_n = min_a J(a) / Gamma_1(B_1)} in increasing n, by t-scans and a batched zoom.
+
+    t = a^n is the natural variable (J is symmetric about t = 1/2). The
+    t-grids of all n are solved in one lockstep batch, and each n's scan
+    rejects root-jumping: no adjacent gap may exceed 5x a robust local
+    slope scale. Interior grid minima are then refined by zooming, all n
+    in lockstep: each round solves 16 evenly spaced interior points of
+    every bracket at once and keeps the neighbours of the smallest value;
+    an n drops out once its bracket is narrower than 1e-6 in t. An
+    endpoint minimum is the ball value itself.
+
+    When some n fail, the ConvergenceError of the smallest of them is
+    raised: the one that solving the n one at a time, in increasing
+    order, would meet first.
+    """
+    ns = sorted(set(ns))
+    for n in ns:
+        if n < 2:
+            raise ValueError(f"n must be >= 2, got {n}")
+    if grid_points < 65:
+        raise ValueError(f"grid must have at least 65 points, got {grid_points}")
+    if not ns:
+        return {}
+    k0 = {n: clamped_radial_root(n, 0) for n in ns}
+    ts = np.linspace(0.0, 1.0, grid_points)
+    grid, errors = _J_of_t(dict.fromkeys(ns, ts), k0)
+    best, zoom = {}, {}  # n -> (t_min, j_min); n -> (x_lo, x_hi, f_lo, f_hi)
+    for n in ns:
+        if n in errors:
+            continue
+        js = grid[n]
+        gaps = np.abs(np.diff(js))
+        padded = np.pad(gaps, 1)  # gaps are >= 0, so a zero pad never wins the max
+        slope_scale = np.maximum(np.maximum(padded[:-2], padded[2:]), 1e-3 * k0[n] ** 4)
+        jumps = np.flatnonzero(gaps > 5.0 * slope_scale)
+        if jumps.size:
+            i = int(jumps[0])
+            errors[n] = ConvergenceError(
+                f"J(t) jump between t={ts[i]:.4f} and t={ts[i + 1]:.4f} for n={n}: "
+                f"gap {gaps[i]:.3e} vs local slope scale {slope_scale[i]:.3e}"
+            )
+            continue
+        imin = int(np.argmin(js))
+        best[n] = float(ts[imin]), float(js[imin])
+        if 0 < imin < grid_points - 1:
+            zoom[n] = ts[imin - 1], ts[imin + 1], js[imin - 1], js[imin + 1]
+    while True:
+        live = [n for n, (x_lo, x_hi, _, _) in zoom.items() if x_hi - x_lo >= 1e-6 and n not in errors]
+        if not live:
+            break
+        xs = {n: np.linspace(zoom[n][0], zoom[n][1], _ZOOM_POINTS + 2) for n in live}
+        inner, failed = _J_of_t({n: x[1:-1] for n, x in xs.items()}, k0)
+        errors.update(failed)
+        for n in live:
+            if n in failed:
+                continue
+            fs = np.concatenate(([zoom[n][2]], inner[n], [zoom[n][3]]))
+            j = int(np.argmin(fs))
+            best[n] = float(xs[n][j]), float(fs[j])
+            lo, hi = max(j - 1, 0), min(j + 1, len(fs) - 1)
+            zoom[n] = xs[n][lo], xs[n][hi], fs[lo], fs[hi]
+    if errors:
+        raise errors[min(errors)]
+    results = {}
+    for n in ns:
+        js = grid[n]
+        t_min, j_min = best[n]
+        if n in zoom and js[0] <= j_min:  # endpoint still wins
+            t_min, j_min = float(ts[0]), float(js[0])
+        ball = k0[n] ** 4
+        curve = tuple((float(t), float(j / ball)) for t, j in zip(ts, js))
+        results[n] = DConstantResult(n, j_min / ball, t_min, ball, curve)
+    return results
 
 
 def d_constant(n: int, grid_points: int = 65) -> DConstantResult:
-    """d_n = min_a J(a) / Gamma_1(B_1), by a uniform t-scan plus a batched zoom.
-
-    t = a^n is the natural variable (J is symmetric about t = 1/2). The
-    whole t-grid is solved in one lockstep batch, and the scan rejects
-    root-jumping: no adjacent gap may exceed 5x a robust local slope
-    scale. An interior grid minimum is refined by zooming: each round
-    solves 16 evenly spaced interior points of the bracket at once and
-    keeps the neighbours of the smallest value, until the bracket is
-    narrower than 1e-6 in t. An endpoint minimum is the ball value itself.
-    """
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    if grid_points < 65:
-        raise ValueError(f"grid must have at least 65 points, got {grid_points}")
-    k0 = clamped_radial_root(n, 0)
-    ball = k0**4
-    ts = np.linspace(0.0, 1.0, grid_points)
-    js = _J_of_t(n, ts, k0)
-    gaps = np.abs(np.diff(js))
-    padded = np.pad(gaps, 1)  # gaps are >= 0, so a zero pad never wins the max
-    slope_scale = np.maximum(np.maximum(padded[:-2], padded[2:]), 1e-3 * ball)
-    jumps = np.flatnonzero(gaps > 5.0 * slope_scale)
-    if jumps.size:
-        i = int(jumps[0])
-        raise ConvergenceError(
-            f"J(t) jump between t={ts[i]:.4f} and t={ts[i + 1]:.4f} for n={n}: "
-            f"gap {gaps[i]:.3e} vs local slope scale {slope_scale[i]:.3e}"
-        )
-    imin = int(np.argmin(js))
-    t_min, j_min = float(ts[imin]), float(js[imin])
-    if 0 < imin < grid_points - 1:
-        x_lo, x_hi, f_lo, f_hi = ts[imin - 1], ts[imin + 1], js[imin - 1], js[imin + 1]
-        while x_hi - x_lo >= 1e-6:
-            xs = np.linspace(x_lo, x_hi, _ZOOM_POINTS + 2)
-            fs = np.concatenate(([f_lo], _J_of_t(n, xs[1:-1], k0), [f_hi]))
-            j = int(np.argmin(fs))
-            t_min, j_min = float(xs[j]), float(fs[j])
-            lo, hi = max(j - 1, 0), min(j + 1, len(xs) - 1)
-            x_lo, x_hi, f_lo, f_hi = xs[lo], xs[hi], fs[lo], fs[hi]
-        if js[0] <= j_min:  # endpoint still wins
-            t_min, j_min = float(ts[0]), float(js[0])
-    curve = tuple((float(t), float(j / ball)) for t, j in zip(ts, js))
-    return DConstantResult(n, j_min / ball, t_min, ball, curve)
+    """d_n alone: `d_constants([n], grid_points)[n]`."""
+    return d_constants([n], grid_points)[n]
 
 
 def c_constant(n: int) -> float:

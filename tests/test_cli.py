@@ -80,6 +80,14 @@ class TestConfig:
         assert main(["verify", str(cfg)]) == 2
         assert "concurrency" in capsys.readouterr().err
 
+    def test_top_level_must_be_an_object(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text("[1, 2]", encoding="utf-8")
+        with pytest.raises(ConfigError, match="JSON object"):
+            load_config(str(cfg))
+        assert main(["verify", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_usage_error_exit_code(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", domains=[])
         assert main(["verify", str(cfg)]) == 2
@@ -157,6 +165,14 @@ class TestVerify:
         assert "workers" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_duplicate_labels_rejected(self, tmp_path, capsys):
+        square = {"shape": {"type": "rectangle", "width": 1.0, "height": 1.0}, "label": "twin"}
+        cfg = write_config(tmp_path / "c.json", domains=[square, square])
+        out = tmp_path / "out"
+        assert main(["--output-dir", str(out), "verify", str(cfg)]) == 2
+        assert "unique" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("scale", ["-10", "nan", "inf"])
     def test_bad_tolerance_scale_rejected(self, tmp_path, capsys, scale):
         cfg = write_config(tmp_path / "c.json")
@@ -216,6 +232,18 @@ class TestConstantsAndCurve:
             assert abs(a - b) < 1e-7 * a
         assert all(r["status"] == "ok" for r in rows)
 
+    @pytest.mark.parametrize("argv", [
+        ["constants", "--n", "2..x"],
+        ["constants", "--n", "abc"],
+        ["constants", "--n", ""],
+        ["curve", "--n", "1"],
+    ], ids=["bad_range", "not_a_number", "no_dimension", "curve_n_below_2"])
+    def test_usage_errors(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert main(["--output-dir", str(out), *argv]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
 
 class TestSpectrumCommand:
     def test_writes_levels_and_extrapolation(self, tmp_path):
@@ -243,3 +271,10 @@ class TestSpectrumCommand:
         assert main(["--output-dir", str(tmp_path), "spectrum", "--shape", shape,
                      "--problem", "dirichlet", "--h", "0.25", "--m", m]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_usage_error_leaves_no_output_dir(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["--output-dir", str(out), "spectrum", "--shape", '{"type": "rectangle", "width": 1.0, "height": 1.0}',
+                     "--problem", "dirichlet", "--h", "0.25", "--m", "20"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()

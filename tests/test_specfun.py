@@ -3,6 +3,7 @@
 import math
 
 import mpmath
+import numpy as np
 import pytest
 
 from eigenineq import specfun
@@ -65,6 +66,29 @@ def test_i_positive_and_overflow_guard():
 def test_domain_validation(bad):
     with pytest.raises(ValueError):
         specfun.bessel_j(*bad)
+
+
+@pytest.mark.parametrize("pair", [specfun.bessel_j_pair, specfun.bessel_i_scaled_pair])
+def test_array_order_pairs_match_scalar_calls(pair):
+    rng = np.random.default_rng(3)
+    v = rng.integers(0, 7, size=200) / 2.0  # the two-ball orders n/2 - 1, and more
+    x = rng.uniform(0.0, 60.0, size=200)
+    got = pair(v, x)
+    want = np.array([pair(float(vi), float(xi)) for vi, xi in zip(v, x)]).T
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
+    # an order array broadcasts against a scalar argument and vice versa
+    np.testing.assert_array_equal(pair(v, 3.0)[1], [pair(float(vi), 3.0)[1] for vi in v])
+    np.testing.assert_array_equal(pair(np.array([[0.5], [2.0]]), x[:3])[0][1], [pair(2.0, float(xi))[0] for xi in x[:3]])
+
+
+@pytest.mark.parametrize("pair", [specfun.bessel_j_pair, specfun.bessel_i_scaled_pair])
+@pytest.mark.parametrize("bad", [-0.5, math.nan, math.inf])
+def test_array_order_pairs_reject_any_bad_order(pair, bad):
+    with pytest.raises(ValueError, match="order"):
+        pair(np.array([0.0, 1.5, bad, 2.0]), np.array([1.0, 2.0, 3.0, 4.0]))
+    with pytest.raises(ValueError, match="order"):
+        pair(np.array([0.0, bad]), 1.0)
 
 
 def test_recurrence_identity_on_lattice():

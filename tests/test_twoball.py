@@ -11,7 +11,7 @@ import pytest
 
 from eigenineq import specfun, twoball
 from eigenineq.balls import BallSpec, clamped_ball, clamped_radial_root
-from eigenineq.cli import main
+from eigenineq.cli import main, run_constants
 from eigenineq.specfun.errors import ConvergenceError
 from eigenineq.twoball import (
     TALENTI_D_PRIME,
@@ -20,8 +20,19 @@ from eigenineq.twoball import (
     c_constant,
     curve_table,
     d_constant,
+    d_constants,
     secular_det,
 )
+
+# full-precision d_n from a scalar solver (one radius at a time, golden
+# section for the minimum); the batched zoom must land on the same values
+PINNED_D = {
+    4: 0.9537969517761561,
+    5: 0.9218448809321084,
+    6: 0.9077783973811031,
+    7: 0.901812062749684,
+    8: 0.8998913004582276,
+}
 
 
 def test_endpoints_return_ball_value():
@@ -209,19 +220,75 @@ def test_no_sign_change_is_reported(monkeypatch, tmp_path):
 
 
 def test_d_constants_pinned():
-    # full-precision d_n from a scalar solver (one radius at a time, golden
-    # section for the minimum); the batched zoom must land on the same values
-    pinned = {
-        4: 0.9537969517761561,
-        5: 0.9218448809321084,
-        6: 0.9077783973811031,
-        7: 0.901812062749684,
-        8: 0.8998913004582276,
-    }
-    for n, ref in pinned.items():
+    for n, ref in PINNED_D.items():
         res = d_constant(n)
         assert res.d_n == pytest.approx(ref, rel=1e-10, abs=0.0)
         assert abs(res.minimizer_t - 0.5) < 1e-4
+
+
+def test_array_n_det_matches_scalar_loop_bitwise():
+    # n = 2 and n = 3 take the exponents 2 and 0.5, which numpy evaluates
+    # differently as a scalar than as an element of an exponent array
+    rng = np.random.default_rng(11)
+    n = rng.integers(2, 9, size=300)
+    a = rng.uniform(0.01, 0.99, size=300)
+    mu = (np.array([clamped_radial_root(int(m), 0) for m in n]) * rng.uniform(0.3, 2.5, size=300)) ** 4
+    want = [secular_det(int(m), float(x), float(u)) for m, x, u in zip(n, a, mu)]
+    np.testing.assert_array_equal(secular_det(n, a, mu), want)
+    # n broadcasts against a and mu like they do against each other
+    grid = secular_det(np.array([[2], [5]]), a[:3], mu[:3])
+    assert grid.shape == (2, 3)
+    np.testing.assert_array_equal(grid[1], [secular_det(5, float(x), float(u)) for x, u in zip(a[:3], mu[:3])])
+
+
+def test_batch_equals_one_dimension_at_a_time():
+    batch = d_constants(range(8, 1, -1))
+    assert list(batch) == list(range(2, 9))
+    for n, res in batch.items():
+        assert res == d_constant(n)
+    for n, ref in PINNED_D.items():
+        assert batch[n].d_n == pytest.approx(ref, rel=1e-10, abs=0.0)
+    with pytest.raises(ValueError):
+        d_constants([4, 1, 6])
+    assert d_constants([]) == {}
+
+
+def test_batch_raises_the_first_failure_of_a_loop_over_n(monkeypatch, tmp_path):
+    # n = 7 fails on its t-grid, n = 5 only later, in its first zoom round
+    # (no grid point lies in 0.49 < t < 0.4999); a loop over increasing n
+    # meets n = 5 first, and so must the batch
+    real = twoball.secular_det
+
+    def failing(n, a, mu):
+        det = real(n, a, mu)
+        n, a = np.broadcast_arrays(n, a)
+        t = a**n
+        fail = ((n == 7) & (0.1 < t) & (t < 0.9)) | ((n == 5) & (0.49 < t) & (t < 0.4999))
+        return np.where(fail, 1.0, det)
+
+    monkeypatch.setattr(twoball, "secular_det", failing)
+    with pytest.raises(ConvergenceError, match="n=7 at t=") as seven:
+        d_constant(7)
+    assert ", 0.5, " in str(seven.value)  # a grid point
+    with pytest.raises(ConvergenceError) as first:
+        for n in range(2, 9):
+            d_constant(n)
+    assert str(first.value).startswith("two-ball bracketing failed for n=5 at t=[0.49")
+    with pytest.raises(ConvergenceError) as batch:
+        d_constants(range(2, 9))
+    assert str(batch.value) == str(first.value)
+    with pytest.raises(ConvergenceError) as cli:
+        main(["--output-dir", str(tmp_path), "constants", "--n", "8,7,6,5,4,3,2"])
+    assert str(cli.value) == str(first.value)
+
+
+def test_constants_solves_all_n_in_few_determinant_calls(monkeypatch, tmp_path):
+    # all n share one lockstep batch: about 320 stacked determinants
+    calls = []
+    real = twoball.secular_det
+    monkeypatch.setattr(twoball, "secular_det", lambda n, a, mu: calls.append(1) or real(n, a, mu))
+    assert run_constants(range(2, 9), str(tmp_path)) == 0
+    assert 0 < len(calls) <= 400
 
 
 def test_cli_start_does_not_import_scipy_optimize():
