@@ -105,24 +105,13 @@ def clamped_radial_root(n: int, ell: int, k: int = 1) -> float:
     scan overflow-free (positive rescaling preserves the roots).
     """
     nu = n / 2.0 - 1.0 + ell
-    jpair = specfun.bessel_j_pair
-    ipair = specfun.bessel_i_scaled_pair
 
     def f(x):
-        jv, jv1 = jpair(nu, x)
-        iv, iv1 = ipair(nu, x)
+        jv, jv1 = specfun.bessel_j_pair(nu, x)
+        iv, iv1 = specfun.bessel_i_scaled_pair(nu, x)
         return jv * iv1 + iv * jv1
 
-    def fdf(x):
-        jv, jv1 = jpair(nu, x)
-        iv, iv1 = ipair(nu, x)
-        djv = (nu / x) * jv - jv1
-        djv1 = jv - ((nu + 1.0) / x) * jv1
-        div = (nu / x - 1.0) * iv + iv1
-        div1 = iv - ((nu + 1.0) / x + 1.0) * iv1
-        return jv * iv1 + iv * jv1, djv * iv1 + jv * div1 + div * jv1 + iv * djv1
-
-    return scan_zeros(f, fdf, k, 0.25, 0.5, what=f"clamped radial root (nu={nu})")[k - 1]
+    return scan_zeros(f, k, 0.25, 0.5, what=f"clamped radial root (nu={nu})")[k - 1]
 
 
 def clamped_ball(spec: BallSpec, count: int) -> Spectrum:

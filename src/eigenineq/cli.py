@@ -86,6 +86,12 @@ def parse_shape(desc: dict) -> Shape:
     raise ConfigError(f"unknown shape type {kind!r}")
 
 
+def _integer(value, name: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def load_config(path: str) -> dict:
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -112,15 +118,24 @@ def load_config(path: str) -> dict:
         if p not in {k.value for k in ProblemKind}:
             raise ConfigError(f"unknown problem kind {p!r}")
     mesh = cfg.get("mesh", {})
+    if not isinstance(mesh, dict):
+        raise ConfigError(f"mesh must be an object, got {mesh!r}")
     if not (isinstance(mesh.get("h"), (int, float)) and mesh["h"] > 0):
         raise ConfigError("mesh.h must be a positive number")
-    if int(mesh.get("levels", 0)) < 2:
+    if _integer(mesh.get("levels", 0), "mesh.levels") < 2:
         raise ConfigError("mesh.levels must be >= 2 (extrapolation needs two levels)")
-    if int(cfg.get("m_max", 0)) < 1:
+    if _integer(cfg.get("m_max", 0), "m_max") < 1:
         raise ConfigError("m_max must be >= 1")
+    if _integer(cfg.get("k_max", 0), "k_max") < 0:
+        raise ConfigError("k_max must be >= 0")
     for d in domains:
+        if not isinstance(d, dict):
+            raise ConfigError(f"domains must hold objects, got {d!r}")
         parse_shape(d.get("shape"))
-    unknown = set(cfg.get("inequalities") or []) - set(CATALOG)
+    ids = cfg.get("inequalities")
+    if ids is not None and not isinstance(ids, list):
+        raise ConfigError(f"inequalities must be a list of ids, got {ids!r}")
+    unknown = set(ids or []) - set(CATALOG)
     if unknown:
         raise ConfigError(f"unknown inequality ids {sorted(unknown)}")
     return cfg

@@ -1,8 +1,8 @@
 """Bessel functions of the first kind, modified Bessel functions, and zeros.
 
-Values come from ``scipy.special`` (``jv``, ``iv``, ``ive``); this module
-adds argument validation, the I_v overflow guard, derivatives, and zeros
-by scan-bracketing plus safeguarded Newton (``_zeros``), which, unlike
+Values come from ``scipy.special`` (``jv``, ``ive``); this module adds
+argument validation, derivatives, and zeros by scan-bracketing plus
+bisection to float resolution (``_zeros``), which, unlike
 ``scipy.special.jn_zeros``, handles the half-integer orders of odd
 dimensions. The two pair functions also take ndarray orders and
 arguments, broadcast against each other, and return arrays, so batched
@@ -16,17 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from ._zeros import jv_zeros, radial_neumann_roots
-from .errors import ConvergenceError, RangeError
-
-_I_OVERFLOW_GUARD = 500.0
+from ._zeros import scan_zeros
+from .errors import ConvergenceError
 
 __all__ = [
     "BesselZero",
     "ConvergenceError",
-    "RangeError",
-    "bessel_i",
-    "bessel_i_deriv",
     "bessel_i_scaled_pair",
     "bessel_j",
     "bessel_j_deriv",
@@ -89,32 +84,10 @@ def bessel_j_deriv(v: float, x: float) -> float:
     return (v / x) * jv - jv1
 
 
-def bessel_i(v: float, x: float) -> float:
-    """Modified Bessel function I_v(x), v >= 0, 0 <= x <= 500."""
-    _check_order_arg(v, x)
-    if x > _I_OVERFLOW_GUARD:
-        raise RangeError(f"I_v argument {x} exceeds the overflow guard {_I_OVERFLOW_GUARD}")
-    return float(special.iv(v, x))
-
-
 def bessel_i_scaled_pair(v, x):
     """(e^-x I_v(x), e^-x I_{v+1}(x)); safe for any finite x >= 0, and
     elementwise arrays when v or x is an ndarray."""
     return _pair(special.ive, v, x)
-
-
-def bessel_i_deriv(v: float, x: float) -> float:
-    """dI_v/dx via I_v'(x) = (v/x) I_v(x) + I_{v+1}(x)."""
-    _check_order_arg(v, x)
-    if x > _I_OVERFLOW_GUARD:
-        raise RangeError(f"I_v argument {x} exceeds the overflow guard {_I_OVERFLOW_GUARD}")
-    if x == 0.0:
-        if v == 1.0:
-            return 0.5
-        if v == 0.0 or v > 1.0:
-            return 0.0
-        raise ValueError(f"I_v'(0) diverges for 0 < v < 1 (v={v})")
-    return (v / x) * bessel_i(v, x) + bessel_i(v + 1.0, x)
 
 
 @dataclass(frozen=True)
@@ -136,12 +109,18 @@ class BesselZero:
             )
 
 
+def _jv_zeros(v, kmax=math.inf, bound=math.inf):
+    """Positive zeros of J_v: the first kmax, or all up to `bound`."""
+    start = 0.5 if v == 0.0 else max(0.5, math.sqrt(v * (v + 2.0)) - 0.5)
+    return scan_zeros(lambda x: bessel_j(v, x), kmax, start, 0.9, what=f"zero of J_{v}", bound=bound)
+
+
 def bessel_zeros(v: float, kmax: int) -> list[BesselZero]:
     """First kmax positive zeros of J_v, strictly increasing."""
     _check_order_arg(v, 0.0)
     if kmax < 1:
         raise ValueError(f"kmax must be >= 1, got {kmax}")
-    roots = jv_zeros(bessel_j, bessel_j_pair, v, kmax=kmax)
+    roots = _jv_zeros(v, kmax=kmax)
     return [BesselZero(v, k + 1, r) for k, r in enumerate(roots)]
 
 
@@ -152,7 +131,7 @@ def bessel_zeros_below(v: float, bound: float) -> list[float]:
     floating-point value.
     """
     _check_order_arg(v, bound)
-    return jv_zeros(bessel_j, bessel_j_pair, v, bound=bound)
+    return _jv_zeros(v, bound=bound)
 
 
 def bessel_zero(v: float, k: int) -> BesselZero:
@@ -164,10 +143,17 @@ def bessel_j_deriv_zero(nu: float, k: int) -> float:
     """k-th positive root of d/dr [r^(1-n/2) J_{n/2}(r)] = 0, with nu = n/2 >= 1.
 
     These are the radial free-membrane (zero normal derivative) conditions
-    on a ball; for n = 2 they reduce to the zeros of J_1'.
+    on a ball, the roots of J_{nu-1}(p) - ((2 nu - 1)/p) J_nu(p); for
+    n = 2 they reduce to the zeros of J_1'.
     """
     if not math.isfinite(nu) or nu < 1.0:
         raise ValueError(f"nu must be >= 1, got {nu}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    return radial_neumann_roots(bessel_j_pair, nu, k)[k - 1]
+    c = 2.0 * nu - 1.0
+
+    def f(p):
+        jm, jn = bessel_j_pair(nu - 1.0, p)
+        return jm - (c / p) * jn
+
+    return scan_zeros(f, k, 0.2, 0.5, what=f"radial Neumann root (nu={nu})")[k - 1]

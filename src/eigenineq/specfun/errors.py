@@ -3,7 +3,3 @@
 
 class ConvergenceError(RuntimeError):
     """An iterative refinement or scan failed to converge; never silent."""
-
-
-class RangeError(ValueError):
-    """Argument outside the supported (overflow-guarded) range."""

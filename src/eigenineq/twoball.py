@@ -203,7 +203,7 @@ def _J_many(n, a, k0) -> np.ndarray:
     return out.reshape(shape)
 
 
-def J_of_a(n: int, a: float, _k0: float | None = None) -> TwoBallResult:
+def J_of_a(n: int, a: float) -> TwoBallResult:
     """Smallest eigenvalue of the two-ball problem at first-ball radius a.
 
     A one-radius call of the lockstep solver `_J_many`: scan in k =
@@ -214,7 +214,7 @@ def J_of_a(n: int, a: float, _k0: float | None = None) -> TwoBallResult:
     """
     if not (0.0 <= a <= 1.0):
         raise ValueError(f"a must lie in [0, 1], got {a}")
-    k0 = _k0 if _k0 is not None else clamped_radial_root(n, 0)
+    k0 = clamped_radial_root(n, 0)
     b = (1.0 - a**n) ** (1.0 / n) if a < 1.0 else 0.0
     mu = float(_J_many(n, [a], k0)[0])
     if math.isnan(mu):

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from eigenineq import specfun
@@ -10,6 +11,7 @@ from eigenineq.balls import (
     BallSpec,
     buckling_ball,
     clamped_ball,
+    clamped_radial_root,
     dirichlet_ball,
     harmonic_multiplicity,
     neumann_ball_mu1,
@@ -67,6 +69,31 @@ def test_clamped_ratios_match_published_values():
     assert abs(c2.values[1] / c2.values[0] - 4.3311) < 1e-3
     c3 = clamped_ball(BallSpec(3), 2)
     assert abs(c3.values[1] / c3.values[0] - 3.2390) < 1e-3
+
+
+def _radial_root_cases():
+    for v in (0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0):
+        for k in range(1, 7):
+            yield f"j_{v},{k}", specfun.bessel_zero(v, k).value, lambda x, v=v: mpmath.besselj(v, x)
+    for n in range(2, 9):
+        for ell in (0, 1):
+            nu = n / 2.0 - 1.0 + ell
+            yield f"clamped n={n} l={ell}", clamped_radial_root(n, ell), lambda x, nu=nu: (
+                mpmath.besselj(nu, x) * mpmath.besseli(nu + 1, x) + mpmath.besseli(nu, x) * mpmath.besselj(nu + 1, x)
+            )
+    for n in range(2, 6):
+        nu = n / 2.0
+        yield f"neumann n={n}", specfun.bessel_j_deriv_zero(nu, 1), lambda x, nu=nu: (
+            mpmath.besselj(nu - 1, x) - (2 * nu - 1) / x * mpmath.besselj(nu, x)
+        )
+
+
+def test_radial_roots_to_float_resolution():
+    # each root within 1e-15 relative of mpmath's root of the same equation, polished from it
+    with mpmath.workdps(30):
+        errs = {name: abs(got / mpmath.findroot(f, got) - 1) for name, got, f in _radial_root_cases()}
+    worst = max(errs, key=errs.get)
+    assert errs[worst] <= 1e-15, (worst, float(errs[worst]))
 
 
 def test_clamped_scaling_fourth_order():

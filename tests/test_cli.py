@@ -88,6 +88,22 @@ class TestConfig:
         assert main(["verify", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize(("override", "field"), [
+        ({"m_max": "abc"}, "m_max"),
+        ({"k_max": "x"}, "k_max"),
+        ({"k_max": -3}, "k_max"),
+        ({"mesh": {"h": 1.0 / 16.0, "levels": "two"}}, "mesh.levels"),
+        ({"mesh": [1]}, "mesh"),
+        ({"domains": ["disk"]}, "domains"),
+        ({"inequalities": "faber_krahn"}, "inequalities"),
+    ], ids=["m_max_text", "k_max_text", "k_max_negative", "levels_text", "mesh_list", "domain_text", "inequalities_text"])
+    def test_malformed_value_is_a_usage_error(self, tmp_path, capsys, override, field):
+        cfg = write_config(tmp_path / "c.json", **override)
+        out = tmp_path / "out"
+        assert main(["--output-dir", str(out), "verify", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {field} ")
+        assert not out.exists()
+
     def test_usage_error_exit_code(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", domains=[])
         assert main(["verify", str(cfg)]) == 2
