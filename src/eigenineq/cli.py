@@ -92,6 +92,12 @@ def _integer(value, name: str) -> int:
     return value
 
 
+def _strings(value, name: str) -> list:
+    if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+        raise ConfigError(f"{name} must be a list of strings, got {value!r}")
+    return value
+
+
 def load_config(path: str) -> dict:
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -114,7 +120,7 @@ def load_config(path: str) -> dict:
     problems = cfg.get("problems")
     if not problems:
         raise ConfigError("config needs a nonempty 'problems' list")
-    for p in problems:
+    for p in _strings(problems, "problems"):
         if p not in {k.value for k in ProblemKind}:
             raise ConfigError(f"unknown problem kind {p!r}")
     mesh = cfg.get("mesh", {})
@@ -132,12 +138,14 @@ def load_config(path: str) -> dict:
         if not isinstance(d, dict):
             raise ConfigError(f"domains must hold objects, got {d!r}")
         parse_shape(d.get("shape"))
+        label = d.get("label")
+        if label is not None and not isinstance(label, str):
+            raise ConfigError(f"label must be a string, got {label!r}")
     ids = cfg.get("inequalities")
-    if ids is not None and not isinstance(ids, list):
-        raise ConfigError(f"inequalities must be a list of ids, got {ids!r}")
-    unknown = set(ids or []) - set(CATALOG)
-    if unknown:
-        raise ConfigError(f"unknown inequality ids {sorted(unknown)}")
+    if ids is not None:
+        unknown = set(_strings(ids, "inequalities")) - set(CATALOG)
+        if unknown:
+            raise ConfigError(f"unknown inequality ids {sorted(unknown)}")
     return cfg
 
 

@@ -10,7 +10,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
+from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 
 
 class RasterizeError(ValueError):
@@ -212,8 +213,6 @@ class Polygon:
 
 Shape = Disk | Ellipse | Rectangle | LShape | Annulus | Polygon
 
-_FOUR_CONNECTED = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
-
 
 class GridDomain:
     """Rasterized planar domain: interior-node mask, mesh width, exact area."""
@@ -240,6 +239,19 @@ class GridDomain:
         return self.node_count * self.h**2
 
 
+def _component_count(domain):
+    """Number of 4-connected components of the domain's mask."""
+    index = domain.index
+    rows, cols = [], []
+    for a, b in ((index[:-1, :], index[1:, :]), (index[:, :-1], index[:, 1:])):
+        linked = (a >= 0) & (b >= 0)  # both ends of the lattice link are interior
+        rows.append(a[linked])
+        cols.append(b[linked])
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    graph = sparse.coo_array((np.ones(rows.size), (rows, cols)), shape=(domain.node_count,) * 2)
+    return connected_components(graph, directed=False)[0]
+
+
 def rasterize(shape: Shape, h: float) -> GridDomain:
     """Mask of lattice nodes strictly inside the shape.
 
@@ -264,10 +276,10 @@ def rasterize(shape: Shape, h: float) -> GridDomain:
     mask = mask[rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1]
     x0 = (i_lo + rows[0]) * h
     y0 = (j_lo + cols[0]) * h
-    _, ncomp = ndimage.label(mask, structure=_FOUR_CONNECTED)
+    domain = GridDomain(mask, h, shape.area, shape.label, x0, y0)
+    ncomp = _component_count(domain)
     if ncomp != 1:
         raise RasterizeError(f"mask for {shape.label} at h={h} has {ncomp} components")
-    domain = GridDomain(mask, h, shape.area, shape.label, x0, y0)
     gap = abs(domain.area_discrete - shape.area)
     if gap > 2.0 * shape.perimeter * h:
         raise RasterizeError(

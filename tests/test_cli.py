@@ -96,7 +96,12 @@ class TestConfig:
         ({"mesh": [1]}, "mesh"),
         ({"domains": ["disk"]}, "domains"),
         ({"inequalities": "faber_krahn"}, "inequalities"),
-    ], ids=["m_max_text", "k_max_text", "k_max_negative", "levels_text", "mesh_list", "domain_text", "inequalities_text"])
+        ({"inequalities": [["faber_krahn"]]}, "inequalities"),
+        ({"problems": [["dirichlet"]]}, "problems"),
+        ({"problems": "dirichlet"}, "problems"),
+        ({"domains": [{"shape": {"type": "disk", "radius": 1.0}, "label": ["x"]}]}, "label"),
+    ], ids=["m_max_text", "k_max_text", "k_max_negative", "levels_text", "mesh_list", "domain_text", "inequalities_text",
+            "inequalities_nested", "problems_nested", "problems_text", "label_list"])
     def test_malformed_value_is_a_usage_error(self, tmp_path, capsys, override, field):
         cfg = write_config(tmp_path / "c.json", **override)
         out = tmp_path / "out"

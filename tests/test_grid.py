@@ -1,6 +1,10 @@
 """Rasterization, operator assembly and eigensolver against exact references."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -49,6 +53,24 @@ class TestRasterize:
                            (0.35, 0.02), (0.35, 1), (0, 1)))
         with pytest.raises(RasterizeError):
             rasterize(barbell, 0.2)
+
+    def test_diagonal_contact_is_two_components(self):
+        # squares meeting at the corner (0.55, 0.55): their nearest nodes
+        # (0.5, 0.5) and (0.625, 0.625) are diagonal neighbours only
+        bowtie = Polygon(((0, 0), (0.55, 0), (0.55, 0.55), (1, 0.55), (1, 1), (0.55, 1), (0.55, 0.55), (0, 0.55)))
+        with pytest.raises(RasterizeError, match="has 2 components"):
+            rasterize(bowtie, 0.125)
+
+    def test_cli_start_does_not_import_scipy_ndimage(self):
+        code = (
+            "import sys\n"
+            "import eigenineq.cli\n"
+            "assert 'scipy.ndimage' not in sys.modules\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
     def test_annulus_and_lshape_rasterize(self):
         a = rasterize(Annulus(0.4, 1.0), 1.0 / 64.0)
@@ -175,6 +197,8 @@ class TestExtrapolate:
 
 
 _FOUR = {ProblemKind.DIRICHLET: 5, ProblemKind.NEUMANN: 5, ProblemKind.CLAMPED: 4, ProblemKind.BUCKLING: 3}
+# the m that `verify` asks for at the corpus' m_max = 8, k_max = 10
+_VERIFY_M = {ProblemKind.DIRICHLET: 11, ProblemKind.NEUMANN: 11, ProblemKind.CLAMPED: 9, ProblemKind.BUCKLING: 9}
 
 
 class TestSolveShape:
@@ -199,6 +223,38 @@ class TestSolveShape:
         # per level: one mask; Dirichlet, Neumann and clamped matrices; the
         # buckling pair reuses the clamped factor
         assert calls == {"rasterize": 2, "assemble": 6, "_factor_spd": 6}
+
+    def test_shift_invert_solve_count(self, monkeypatch):
+        from eigenineq.grid import solve as solve_module
+
+        solves = []
+        real = solve_module._factor_spd
+
+        class CountedFactor:
+            def __init__(self, lu):
+                self.lu = lu
+
+            def solve(self, rhs):
+                solves.append(1)
+                return self.lu.solve(rhs)
+
+        monkeypatch.setattr(solve_module, "_factor_spd", lambda matrix: CountedFactor(real(matrix)))
+        solved = solve_shape(Disk(1.0), _VERIFY_M, 1.0 / 32.0, 2)
+        assert not any(isinstance(got, Exception) for got in solved.values())
+        # ARPACK stops at _ARPACK_TOL, not at machine epsilon (516 solves)
+        assert 0 < len(solves) <= 440
+
+    @pytest.mark.parametrize(("shape", "h"), [(Disk(1.0), 1.0 / 32.0), (LShape(0.5, 0.5), 1.0 / 16.0)],
+                             ids=["disk", "l_shape"])
+    def test_arpack_tolerance_leaves_extrapolation_at_round_off(self, monkeypatch, shape, h):
+        from eigenineq.grid import solve as solve_module
+
+        stopped = solve_shape(shape, _VERIFY_M, h, 2)
+        monkeypatch.setattr(solve_module, "_ARPACK_TOL", 0.0)
+        converged = solve_shape(shape, _VERIFY_M, h, 2)
+        for kind in _VERIFY_M:
+            got, want = np.array(stopped[kind][1].values), np.array(converged[kind][1].values)
+            assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want)), kind
 
     def test_shared_solve_matches_single_problem_solves(self):
         solved = solve_shape(LShape(0.5, 0.5), _FOUR, 1.0 / 16.0, 2)
