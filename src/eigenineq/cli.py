@@ -49,6 +49,19 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _slack_cell(report):
+    """Slack rounded at the 12th significant digit of max(|lhs|, |rhs|).
+
+    That is the resolution of the lhs and rhs cells; below it, a
+    near-cancelling difference holds only round-off. Zero and infinite
+    slack are left as they are.
+    """
+    if report.slack == 0.0 or not math.isfinite(report.slack):
+        return report.slack
+    scale = max(abs(report.lhs), abs(report.rhs))
+    return round(report.slack, 11 - math.floor(math.log10(scale))) + 0.0  # + 0.0: no "-0"
+
+
 def _write_csv(path: Path, header, rows):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -166,7 +179,8 @@ def run_verify(config: dict, output_dir: str, tolerance_scale: float = 1.0, work
     k_max = int(config.get("k_max", 10))
     ids = config.get("inequalities")
     problems = [ProblemKind(p) for p in config["problems"]]
-    domains = [(d.get("label") or parse_shape(d["shape"]).label, parse_shape(d["shape"])) for d in config["domains"]]
+    shapes = [parse_shape(d["shape"]) for d in config["domains"]]
+    domains = [(d.get("label") or shape.label, shape) for d, shape in zip(config["domains"], shapes)]
     if len({label for label, _ in domains}) != len(domains):
         raise ConfigError("domain labels must be unique")
     out = Path(output_dir)
@@ -204,7 +218,7 @@ def run_verify(config: dict, output_dir: str, tolerance_scale: float = 1.0, work
     _write_csv(
         out / "inequalities.csv",
         ["id", "domain", "m", "lhs", "rhs", "slack", "holds", "tolerance", "citation", "status", "note"],
-        [(r.id, r.domain, r.m, r.lhs, r.rhs, r.slack, r.holds, r.tolerance_used, r.citation, r.status, r.note)
+        [(r.id, r.domain, r.m, r.lhs, r.rhs, _slack_cell(r), r.holds, r.tolerance_used, r.citation, r.status, r.note)
          for r in reports],
     )
 

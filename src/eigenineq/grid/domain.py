@@ -215,7 +215,15 @@ Shape = Disk | Ellipse | Rectangle | LShape | Annulus | Polygon
 
 
 class GridDomain:
-    """Rasterized planar domain: interior-node mask, mesh width, exact area."""
+    """Rasterized planar domain: interior-node mask, mesh width, exact area.
+
+    ``links`` holds the x- and y-link matrices (adjacency along each axis)
+    of the mask's lattice box padded by one exterior ring, and ``padded``
+    the flat padded mask, in row-major order. Every grid matrix is a
+    padded-box matrix restricted to the interior nodes by `restrict`;
+    ``adjacency``, the restricted sum of the links, is the mask's
+    4-neighbour graph.
+    """
 
     def __init__(self, mask, h, area_exact, label, x0, y0):
         self.mask = np.asarray(mask, dtype=bool)
@@ -225,9 +233,16 @@ class GridDomain:
         self.x0 = float(x0)
         self.y0 = float(y0)
         self.node_count = int(self.mask.sum())
-        index = np.full(self.mask.shape, -1, dtype=np.int64)
-        index[self.mask] = np.arange(self.node_count)
-        self.index = index
+        padded = np.pad(self.mask, 1)
+        self.padded = padded.ravel()
+        nx, ny = padded.shape
+        self.links = (sparse.kron(_path(nx), sparse.identity(ny), format="csr"),
+                      sparse.kron(sparse.identity(nx), _path(ny), format="csr"))
+        self.adjacency = self.restrict(sum(self.links))
+
+    def restrict(self, matrix):
+        """Rows and columns of a padded-box matrix at the interior nodes, in mask order."""
+        return matrix[self.padded][:, self.padded]
 
     def node_coordinates(self):
         """ (x, y) arrays of the interior nodes, in mask (row-major) order."""
@@ -239,17 +254,9 @@ class GridDomain:
         return self.node_count * self.h**2
 
 
-def _component_count(domain):
-    """Number of 4-connected components of the domain's mask."""
-    index = domain.index
-    rows, cols = [], []
-    for a, b in ((index[:-1, :], index[1:, :]), (index[:, :-1], index[:, 1:])):
-        linked = (a >= 0) & (b >= 0)  # both ends of the lattice link are interior
-        rows.append(a[linked])
-        cols.append(b[linked])
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
-    graph = sparse.coo_array((np.ones(rows.size), (rows, cols)), shape=(domain.node_count,) * 2)
-    return connected_components(graph, directed=False)[0]
+def _path(k):
+    """Adjacency of k nodes in a row."""
+    return sparse.diags([1.0, 1.0], [-1, 1], shape=(k, k))
 
 
 def rasterize(shape: Shape, h: float) -> GridDomain:
@@ -277,7 +284,7 @@ def rasterize(shape: Shape, h: float) -> GridDomain:
     x0 = (i_lo + rows[0]) * h
     y0 = (j_lo + cols[0]) * h
     domain = GridDomain(mask, h, shape.area, shape.label, x0, y0)
-    ncomp = _component_count(domain)
+    ncomp = connected_components(domain.adjacency, directed=False)[0]
     if ncomp != 1:
         raise RasterizeError(f"mask for {shape.label} at h={h} has {ncomp} components")
     gap = abs(domain.area_discrete - shape.area)

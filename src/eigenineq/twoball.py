@@ -36,6 +36,7 @@ from .specfun.errors import ConvergenceError
 TALENTI_D_PRIME = {2: 0.9777, 3: 0.7391, 4: 0.6524}
 
 _ENDPOINT_GUARD = 1e-3
+_GRID_POINTS = 65  # t-grid points of the d_n scan
 _ZOOM_POINTS = 16  # interior points solved per round of the d_n minimizer zoom
 
 
@@ -243,7 +244,7 @@ def _J_of_t(ts: dict, k0: dict):
     return js, {n: ConvergenceError(f"two-ball bracketing failed for n={n} at t={t}") for n, t in failed.items() if t}
 
 
-def d_constants(ns, grid_points: int = 65) -> dict[int, DConstantResult]:
+def d_constants(ns) -> dict[int, DConstantResult]:
     """{n: d_n = min_a J(a) / Gamma_1(B_1)} in increasing n, by t-scans and a batched zoom.
 
     t = a^n is the natural variable (J is symmetric about t = 1/2). The
@@ -263,12 +264,10 @@ def d_constants(ns, grid_points: int = 65) -> dict[int, DConstantResult]:
     for n in ns:
         if n < 2:
             raise ValueError(f"n must be >= 2, got {n}")
-    if grid_points < 65:
-        raise ValueError(f"grid must have at least 65 points, got {grid_points}")
     if not ns:
         return {}
     k0 = {n: clamped_radial_root(n, 0) for n in ns}
-    ts = np.linspace(0.0, 1.0, grid_points)
+    ts = np.linspace(0.0, 1.0, _GRID_POINTS)
     grid, errors = _J_of_t(dict.fromkeys(ns, ts), k0)
     best, zoom = {}, {}  # n -> (t_min, j_min); n -> (x_lo, x_hi, f_lo, f_hi)
     for n in ns:
@@ -288,7 +287,7 @@ def d_constants(ns, grid_points: int = 65) -> dict[int, DConstantResult]:
             continue
         imin = int(np.argmin(js))
         best[n] = float(ts[imin]), float(js[imin])
-        if 0 < imin < grid_points - 1:
+        if 0 < imin < _GRID_POINTS - 1:
             zoom[n] = ts[imin - 1], ts[imin + 1], js[imin - 1], js[imin + 1]
     while True:
         live = [n for n, (x_lo, x_hi, _, _) in zoom.items() if x_hi - x_lo >= 1e-6 and n not in errors]
@@ -319,9 +318,9 @@ def d_constants(ns, grid_points: int = 65) -> dict[int, DConstantResult]:
     return results
 
 
-def d_constant(n: int, grid_points: int = 65) -> DConstantResult:
-    """d_n alone: `d_constants([n], grid_points)[n]`."""
-    return d_constants([n], grid_points)[n]
+def d_constant(n: int) -> DConstantResult:
+    """d_n alone: `d_constants([n])[n]`."""
+    return d_constants([n])[n]
 
 
 def c_constant(n: int) -> float:

@@ -6,11 +6,12 @@ import math
 
 import pytest
 
+from eigenineq import specfun
 from eigenineq.cli import ConfigError, load_config, main, parse_shape
 from eigenineq.grid import solve as solve_module
 from eigenineq.grid.domain import Disk, LShape, Rectangle
 from eigenineq.grid.solve import SolverError
-from eigenineq.spectra import ProblemKind
+from eigenineq.spectra import ProblemKind, Provenance, Spectrum
 
 
 def write_config(path, **overrides):
@@ -228,6 +229,25 @@ class TestVerify:
         main(["--output-dir", str(out), "verify", str(cfg)])
         rows = read_csv(out / "inequalities.csv")
         assert {r["id"] for r in rows} == {"faber_krahn"}
+
+    def test_slack_prints_no_round_off(self, tmp_path, monkeypatch):
+        # fixed_lambda1 with lambda_2 a hair below its bound: slack ~3e-6 against lhs ~50
+        lam1 = 2.0 * math.pi**2
+        bound = (specfun.bessel_zero(1.0, 1).value * math.sqrt(lam1) / specfun.bessel_zero(0.0, 1).value) ** 2
+        cells = []
+        for lam2 in (bound - 3e-6, math.nextafter(bound - 3e-6, 0.0)):  # one ulp apart
+
+            def fixed(op, m, factors=None, lam2=lam2):
+                values = (lam1, lam2, *(lam2 + k for k in range(1, m - 1)))
+                return Spectrum(op.kind, 2, values, op.domain.label, Provenance.DISCRETE, op.h)
+
+            monkeypatch.setattr(solve_module, "smallest_eigs", fixed)
+            cfg = write_config(tmp_path / "c.json", inequalities=["fixed_lambda1"])
+            out = tmp_path / f"out{len(cells)}"
+            assert main(["--output-dir", str(out), "verify", str(cfg)]) == 0
+            (row,) = read_csv(out / "inequalities.csv")
+            cells.append((row["lhs"], row["slack"], row["holds"]))
+        assert cells[0] == cells[1] == (cells[0][0], "3e-06", "true")
 
 
 class TestConstantsAndCurve:

@@ -17,6 +17,7 @@ from eigenineq.grid import (
     Annulus,
     Disk,
     DiscreteOperator,
+    GridDomain,
     LShape,
     Polygon,
     RasterizeError,
@@ -109,6 +110,76 @@ class TestAssembly:
         assert np.all(np.linalg.eigvalsh(op.matrix.toarray()) > 0.0)
         cl = assemble(rasterize(Disk(1.0), 1.0 / 8.0), ProblemKind.CLAMPED)
         assert np.all(np.linalg.eigvalsh(cl.matrix.toarray()) > 0.0)
+
+
+_AXES = ((1, 0), (-1, 0), (0, 1), (0, -1))
+_DIAGONALS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+
+
+def stencil_matrix(mask, kind):
+    """Integer matrix of ``kind`` on ``mask``, written out node by node in mask order."""
+    nodes = {tuple(p): k for k, p in enumerate(np.argwhere(mask))}
+    a = np.zeros((len(nodes), len(nodes)))
+    for (i, j), k in nodes.items():
+        for di, dj in _AXES:
+            near = nodes.get((i + di, j + dj))
+            if kind is ProblemKind.CLAMPED:
+                far = nodes.get((i + 2 * di, j + 2 * dj))
+                if near is None:
+                    a[k, k] += 1  # w = 0 on the first ring; the second-ring ghost reflects onto the centre
+                else:
+                    a[k, near] = -8
+                    if far is not None:
+                        a[k, far] = 1  # only through an interior mid-node
+            elif near is not None:
+                a[k, near] = -1
+                a[k, k] += kind is ProblemKind.NEUMANN
+        if kind is ProblemKind.DIRICHLET:
+            a[k, k] = 4
+        if kind is ProblemKind.CLAMPED:
+            a[k, k] += 20
+            for di, dj in _DIAGONALS:
+                if (i + di, j + dj) in nodes:
+                    a[k, nodes[i + di, j + dj]] = 2
+    return a
+
+
+class TestStencil:
+    MASKS = {
+        # (0, 1) and (2, 1) are two apart along x through the exterior mid-node (1, 1)
+        "c_shape": ["###",
+                    "#..",
+                    "###"],
+        # a 3x3 block with a one-node-wide arm: Neumann degrees 1 to 4
+        "arm": ["###...",
+                "######",
+                "###..."],
+    }
+
+    def domain(self, name, h=1.0):
+        mask = np.array([[c == "#" for c in row] for row in self.MASKS[name]])
+        return GridDomain(mask, h, mask.sum() * h**2, name, 0.0, 0.0)
+
+    @pytest.mark.parametrize("kind, power", [(ProblemKind.DIRICHLET, 2), (ProblemKind.NEUMANN, 2),
+                                             (ProblemKind.CLAMPED, 4)])
+    @pytest.mark.parametrize("name", list(MASKS))
+    def test_matches_stencil_written_out(self, name, kind, power):
+        d = self.domain(name, h=0.25)
+        matrix = assemble(d, kind).matrix
+        expected = stencil_matrix(d.mask, kind) / d.h**power
+        np.testing.assert_array_equal(matrix.toarray(), expected)
+        assert matrix.nnz == np.count_nonzero(expected)  # no stored zeros
+
+    def test_exterior_mid_node_drops_the_link(self):
+        c_shape = assemble(self.domain("c_shape"), ProblemKind.CLAMPED).matrix
+        block = assemble(GridDomain(np.ones((3, 3), bool), 1.0, 9.0, "block", 0.0, 0.0), ProblemKind.CLAMPED).matrix
+        # (0, 1) -> (2, 1): nodes 1 -> 5 of the C, 1 -> 7 of the block
+        assert 5 not in c_shape[1].indices and c_shape[1, 1] == 22.0
+        assert block[1, 7] == 1.0 and block[1, 1] == 21.0
+
+    def test_one_node_arm_degrees(self):
+        neumann = assemble(self.domain("arm"), ProblemKind.NEUMANN).matrix
+        assert sorted(neumann.diagonal()) == [1, 2, 2, 2, 2, 2, 2, 3, 3, 3, 4, 4]
 
 
 class TestSmallestEigs:

@@ -140,8 +140,6 @@ def test_input_validation():
         secular_det(2, 0.5, -1.0)
     with pytest.raises(ValueError):
         d_constant(1)
-    with pytest.raises(ValueError):
-        d_constant(4, grid_points=10)
 
 
 def _scalar_secular_det(n, a, mu):
