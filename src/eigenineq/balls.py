@@ -15,6 +15,7 @@ with a degree-l harmonic, and the two boundary conditions reduce to
 J_{n/2+l}(kR) = 0.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -55,24 +56,48 @@ class BallSpec:
         return f"ball(n={self.dimension}, R={self.radius:g})"
 
 
-def dirichlet_ball(spec: BallSpec, count: int) -> Spectrum:
-    """First `count` fixed-membrane eigenvalues (j_{n/2-1+l,k} / R)^2.
+def _clamped_roots(nu, kmax=math.inf, bound=math.inf):
+    """Roots of J_nu(x) I_{nu+1}(x) + I_nu(x) J_{nu+1}(x) = 0: the first kmax, or all up to `bound`.
 
-    Angular families are merged with the degree-l harmonic multiplicity up
-    to a cutoff grown until it provably covers `count` values.
+    I is evaluated exponentially scaled to keep the scan overflow-free
+    (a positive rescaling preserves the roots).
     """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    n, radius = spec.dimension, spec.radius
-    nu0 = n / 2.0 - 1.0
-    zcut = specfun.bessel_zero(nu0, 1).value + 2.0
+
+    def f(x):
+        jv, jv1 = specfun.bessel_j_pair(nu, x)
+        iv, iv1 = specfun.bessel_i_scaled_pair(nu, x)
+        return jv * iv1 + iv * jv1
+
+    return scan_zeros(f, kmax, 0.25, 0.5, what=f"clamped radial root (nu={nu})", bound=bound)
+
+
+# problem -> (order of the degree-0 radial family minus n/2, roots(nu, kmax=, bound=)
+# of the order-nu family, exponent p of the eigenvalue (root / R)^p)
+_RADIAL = {
+    ProblemKind.DIRICHLET: (-1.0, specfun.bessel_zeros, 2),
+    ProblemKind.BUCKLING: (0.0, specfun.bessel_zeros, 2),
+    ProblemKind.CLAMPED: (-1.0, _clamped_roots, 4),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _unit_roots(kind: ProblemKind, n: int, count: int) -> tuple[float, ...]:
+    """The `count` smallest radial roots of `kind` on the unit n-ball, with multiplicity.
+
+    Degree l contributes the roots of order nu0 + l, each repeated with the
+    degree-l harmonic multiplicity. Families are merged up to a cutoff grown
+    until it provably covers `count` values: each family's first root
+    exceeds its order, and first roots increase with l.
+    """
+    offset, roots, _ = _RADIAL[kind]
+    nu0 = n / 2.0 + offset
+    zcut = roots(nu0, kmax=1)[0] + 2.0
     while True:
         items = []
         total = 0
         ell = 0
-        while nu0 + ell < zcut:  # j_{nu,1} > nu, so higher degrees cannot contribute
-            nu = nu0 + ell
-            zs = specfun.bessel_zeros_below(nu, zcut)
+        while nu0 + ell < zcut:
+            zs = roots(nu0 + ell, bound=zcut)
             if not zs:
                 break
             mult = harmonic_multiplicity(n, ell)
@@ -83,12 +108,31 @@ def dirichlet_ball(spec: BallSpec, count: int) -> Spectrum:
             break
         zcut *= 1.4
     items.sort(key=lambda t: t[0])
-    values = []
-    for z, mult in items:
-        values.extend([(z / radius) ** 2] * mult)
-        if len(values) >= count:
-            break
-    return Spectrum(ProblemKind.DIRICHLET, n, tuple(values[:count]), spec.label, Provenance.CLOSED_FORM)
+    return tuple(z for z, mult in items for _ in range(mult))[:count]
+
+
+def _ball(kind: ProblemKind, spec: BallSpec, count: int) -> Spectrum:
+    """First `count` eigenvalues (root / R)^p of `kind` on the ball `spec`."""
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
+    p = _RADIAL[kind][2]
+    values = tuple((z / spec.radius) ** p for z in _unit_roots(kind, spec.dimension, count))
+    return Spectrum(kind, spec.dimension, values, spec.label, Provenance.CLOSED_FORM)
+
+
+def dirichlet_ball(spec: BallSpec, count: int) -> Spectrum:
+    """First `count` fixed-membrane eigenvalues (j_{n/2-1+l,k} / R)^2."""
+    return _ball(ProblemKind.DIRICHLET, spec, count)
+
+
+def clamped_ball(spec: BallSpec, count: int) -> Spectrum:
+    """First `count` clamped-plate eigenvalues (root / R)^4, roots of the clamped secular equation."""
+    return _ball(ProblemKind.CLAMPED, spec, count)
+
+
+def buckling_ball(spec: BallSpec, count: int) -> Spectrum:
+    """First `count` buckling eigenvalues (j_{n/2+l,k} / R)^2."""
+    return _ball(ProblemKind.BUCKLING, spec, count)
 
 
 def neumann_ball_mu1(spec: BallSpec) -> float:
@@ -98,42 +142,8 @@ def neumann_ball_mu1(spec: BallSpec) -> float:
 
 
 def clamped_radial_root(n: int, ell: int, k: int = 1) -> float:
-    """k-th root of the clamped-ball secular equation for angular degree ell.
-
-    Roots of J_nu(x) I_{nu+1}(x) + I_nu(x) J_{nu+1}(x) = 0 with
-    nu = n/2 - 1 + ell, evaluated with exponentially scaled I to keep the
-    scan overflow-free (positive rescaling preserves the roots).
-    """
-    nu = n / 2.0 - 1.0 + ell
-
-    def f(x):
-        jv, jv1 = specfun.bessel_j_pair(nu, x)
-        iv, iv1 = specfun.bessel_i_scaled_pair(nu, x)
-        return jv * iv1 + iv * jv1
-
-    return scan_zeros(f, k, 0.25, 0.5, what=f"clamped radial root (nu={nu})")[k - 1]
-
-
-def clamped_ball(spec: BallSpec, count: int) -> Spectrum:
-    """Gamma_1 (and Gamma_2) of the clamped plate on a ball, (root / R)^4.
-
-    Gamma_1 is the l=0 radial mode, Gamma_2 the l=1 mode; the mode order is
-    validated against the grid solver for n=2 in the test suite.
-    """
-    if count not in (1, 2):
-        raise ValueError(f"count must be 1 or 2, got {count}")
-    n, radius = spec.dimension, spec.radius
-    values = [(clamped_radial_root(n, ell) / radius) ** 4 for ell in range(count)]
-    return Spectrum(ProblemKind.CLAMPED, n, tuple(values), spec.label, Provenance.CLOSED_FORM)
-
-
-def buckling_ball(spec: BallSpec, count: int) -> Spectrum:
-    """Lambda_1 (and Lambda_2) of the buckling problem, (j_{n/2+l,1} / R)^2."""
-    if count not in (1, 2):
-        raise ValueError(f"count must be 1 or 2, got {count}")
-    n, radius = spec.dimension, spec.radius
-    values = [(specfun.bessel_zero(n / 2.0 + ell, 1).value / radius) ** 2 for ell in range(count)]
-    return Spectrum(ProblemKind.BUCKLING, n, tuple(values), spec.label, Provenance.CLOSED_FORM)
+    """k-th root of the clamped-ball secular equation for angular degree ell (nu = n/2 - 1 + ell)."""
+    return _clamped_roots(n / 2.0 - 1.0 + ell, kmax=k)[k - 1]
 
 
 def rectangle_spectrum(a: float, b: float, kind: ProblemKind, count: int) -> Spectrum:

@@ -88,7 +88,7 @@ def _gaps(values, m):
 
 @lru_cache(maxsize=None)
 def _ball_gap_ratio(n):
-    return (specfun.bessel_zero(n / 2.0, 1).value / specfun.bessel_zero(n / 2.0 - 1.0, 1).value) ** 2
+    return (specfun.bessel_zero(n / 2.0, 1) / specfun.bessel_zero(n / 2.0 - 1.0, 1)) ** 2
 
 
 @lru_cache(maxsize=None)
@@ -227,8 +227,8 @@ def _ppw_ratio(values, n, m, area):
 @_row("fixed_lambda1", PROVEN, "fixed-lambda_1 comparison; Ashbaugh & Benguria", ("dirichlet",))
 def _fixed_lambda1(values, n, m, area):
     lam = values("dirichlet", 2)
-    r_match = specfun.bessel_zero(n / 2.0 - 1.0, 1).value / math.sqrt(lam[0])
-    rhs = (specfun.bessel_zero(n / 2.0, 1).value / r_match) ** 2
+    r_match = specfun.bessel_zero(n / 2.0 - 1.0, 1) / math.sqrt(lam[0])
+    rhs = (specfun.bessel_zero(n / 2.0, 1) / r_match) ** 2
     return lam[1], rhs, f"comparison ball radius {r_match:.6g}"
 
 

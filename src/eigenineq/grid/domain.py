@@ -7,7 +7,8 @@ the rasterization area error).
 """
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy import sparse
@@ -18,9 +19,20 @@ class RasterizeError(ValueError):
     """Shape and mesh width produce an unusable mask."""
 
 
+def _require_finite(shape):
+    """Raise ValueError unless every field of `shape` is a finite real number (not a bool)."""
+    for f in fields(shape):
+        value = getattr(shape, f.name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+            raise ValueError(f"{f.name} must be a finite real number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Disk:
     radius: float = 1.0
+
+    def __post_init__(self):
+        _require_finite(self)
 
     def contains(self, x, y):
         return x * x + y * y < self.radius**2
@@ -48,6 +60,9 @@ class Ellipse:
     a: float  # semi-axis along x
     b: float  # semi-axis along y
 
+    def __post_init__(self):
+        _require_finite(self)
+
     def contains(self, x, y):
         return (x / self.a) ** 2 + (y / self.b) ** 2 < 1.0
 
@@ -74,6 +89,9 @@ class Ellipse:
 class Rectangle:
     width: float
     height: float
+
+    def __post_init__(self):
+        _require_finite(self)
 
     def contains(self, x, y):
         return (0.0 < x) & (x < self.width) & (0.0 < y) & (y < self.height)
@@ -133,6 +151,7 @@ class Annulus:
     r_outer: float
 
     def __post_init__(self):
+        _require_finite(self)
         if not (0.0 < self.r_inner < self.r_outer):
             raise ValueError(f"need 0 < r_inner < r_outer, got {self.r_inner}, {self.r_outer}")
 
@@ -166,6 +185,8 @@ class Polygon:
         if len(self.vertices) < 3:
             raise ValueError("polygon needs at least 3 vertices")
         object.__setattr__(self, "vertices", tuple((float(x), float(y)) for x, y in self.vertices))
+        if not all(math.isfinite(c) for v in self.vertices for c in v):
+            raise ValueError(f"polygon vertices must be finite, got {self.vertices}")
 
     def contains(self, x, y):
         # crossing-number parity with points on an edge explicitly excluded

@@ -11,16 +11,13 @@ to call concurrently.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
 
-from ._zeros import scan_zeros
-from .errors import ConvergenceError
+from ._zeros import ConvergenceError, scan_zeros
 
 __all__ = [
-    "BesselZero",
     "ConvergenceError",
     "bessel_i_scaled_pair",
     "bessel_j",
@@ -29,7 +26,6 @@ __all__ = [
     "bessel_j_pair",
     "bessel_zero",
     "bessel_zeros",
-    "bessel_zeros_below",
 ]
 
 
@@ -90,51 +86,30 @@ def bessel_i_scaled_pair(v, x):
     return _pair(special.ive, v, x)
 
 
-@dataclass(frozen=True)
-class BesselZero:
-    """k-th positive zero of J_v; re-evaluates to a residual below tolerance."""
+def bessel_zeros(v: float, kmax=math.inf, bound=math.inf) -> list[float]:
+    """Positive zeros of J_v, strictly increasing: the first kmax, or all up to `bound`.
 
-    order: float
-    index: int
-    value: float
-
-    def __post_init__(self):
-        if self.order < 0.0 or self.index < 1 or self.value <= 0.0:
-            raise ValueError(f"invalid Bessel zero {self}")
-        resid = abs(bessel_j(self.order, self.value))
-        bound = 1e-10 * max(1.0, abs(bessel_j_deriv(self.order, self.value)))
-        if resid >= bound:
-            raise ConvergenceError(
-                f"zero ({self.order}, {self.index}) residual {resid:.3e} exceeds {bound:.3e}"
-            )
-
-
-def _jv_zeros(v, kmax=math.inf, bound=math.inf):
-    """Positive zeros of J_v: the first kmax, or all up to `bound`."""
-    start = 0.5 if v == 0.0 else max(0.5, math.sqrt(v * (v + 2.0)) - 0.5)
-    return scan_zeros(lambda x: bessel_j(v, x), kmax, start, 0.9, what=f"zero of J_{v}", bound=bound)
-
-
-def bessel_zeros(v: float, kmax: int) -> list[BesselZero]:
-    """First kmax positive zeros of J_v, strictly increasing."""
-    _check_order_arg(v, 0.0)
-    if kmax < 1:
-        raise ValueError(f"kmax must be >= 1, got {kmax}")
-    roots = _jv_zeros(v, kmax=kmax)
-    return [BesselZero(v, k + 1, r) for k, r in enumerate(roots)]
-
-
-def bessel_zeros_below(v: float, bound: float) -> list[float]:
-    """All positive zeros of J_v not exceeding `bound`, increasing.
-
-    The same scan as bessel_zeros, so a zero found both ways has the same
-    floating-point value.
+    Whichever limit the scan meets first ends it, so at least one must be
+    finite. Every zero re-evaluates to |J_v(z)| < 1e-10 max(1, |J_v'(z)|),
+    or ConvergenceError is raised. A zero found under either limit has
+    the same floating-point value.
     """
-    _check_order_arg(v, bound)
-    return _jv_zeros(v, bound=bound)
+    _check_order_arg(v, 0.0)
+    if not kmax >= 1:
+        raise ValueError(f"kmax must be >= 1, got {kmax}")
+    if not bound >= 0.0 or kmax == bound == math.inf:
+        raise ValueError(f"bound must be nonnegative, and finite when kmax is not; got {bound}")
+    start = 0.5 if v == 0.0 else max(0.5, math.sqrt(v * (v + 2.0)) - 0.5)
+    zeros = scan_zeros(lambda x: bessel_j(v, x), kmax, start, 0.9, what=f"zero of J_{v}", bound=bound)
+    for k, z in enumerate(zeros, 1):
+        resid = abs(bessel_j(v, z))
+        limit = 1e-10 * max(1.0, abs(bessel_j_deriv(v, z)))
+        if resid >= limit:
+            raise ConvergenceError(f"zero ({v}, {k}) residual {resid:.3e} exceeds {limit:.3e}")
+    return zeros
 
 
-def bessel_zero(v: float, k: int) -> BesselZero:
+def bessel_zero(v: float, k: int) -> float:
     """k-th positive zero of J_v (k >= 1), absolute error well below 1e-10."""
     return bessel_zeros(v, k)[k - 1]
 

@@ -7,7 +7,9 @@ until its ends are at most two floats apart.
 
 import math
 
-from .errors import ConvergenceError
+
+class ConvergenceError(RuntimeError):
+    """An iterative refinement or scan failed to converge; never silent."""
 
 
 def bisect(f, lo, hi, flo, what="root"):

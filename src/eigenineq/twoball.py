@@ -28,7 +28,7 @@ import numpy as np
 
 from . import specfun
 from .balls import clamped_radial_root
-from .specfun.errors import ConvergenceError
+from .specfun import ConvergenceError
 
 # Reference values of the decoupled-problem constants (not computed here;
 # no construction for them is implemented). The n=3 entry appears under a
@@ -38,14 +38,6 @@ TALENTI_D_PRIME = {2: 0.9777, 3: 0.7391, 4: 0.6524}
 _ENDPOINT_GUARD = 1e-3
 _GRID_POINTS = 65  # t-grid points of the d_n scan
 _ZOOM_POINTS = 16  # interior points solved per round of the d_n minimizer zoom
-
-
-@dataclass(frozen=True)
-class TwoBallResult:
-    n: int
-    a: float
-    b: float
-    eigenvalue: float  # J(a) under the |Omega| = C_n normalization
 
 
 @dataclass(frozen=True)
@@ -115,11 +107,6 @@ def secular_det(n, a, mu):
     rows /= np.where(scale > 0.0, scale, 1.0)
     det = np.linalg.det(np.moveaxis(rows, -1, 0)).reshape(shape)
     return float(det) if det.ndim == 0 else det
-
-
-def ball_eigenvalue(n: int) -> float:
-    """Gamma_1 of the unit ball, the common endpoint value J(0) = J(1)."""
-    return clamped_radial_root(n, 0) ** 4
 
 
 def _scan_grids(k0s):
@@ -204,8 +191,9 @@ def _J_many(n, a, k0) -> np.ndarray:
     return out.reshape(shape)
 
 
-def J_of_a(n: int, a: float) -> TwoBallResult:
-    """Smallest eigenvalue of the two-ball problem at first-ball radius a.
+def J_of_a(n: int, a: float) -> float:
+    """Smallest eigenvalue of the two-ball problem at first-ball radius a,
+    under the |Omega| = C_n normalization.
 
     A one-radius call of the lockstep solver `_J_many`: scan in k =
     mu^(1/4) with step k0/50 from 0.5 k0 to 2 k0, bisection of the first
@@ -215,12 +203,10 @@ def J_of_a(n: int, a: float) -> TwoBallResult:
     """
     if not (0.0 <= a <= 1.0):
         raise ValueError(f"a must lie in [0, 1], got {a}")
-    k0 = clamped_radial_root(n, 0)
-    b = (1.0 - a**n) ** (1.0 / n) if a < 1.0 else 0.0
-    mu = float(_J_many(n, [a], k0)[0])
+    mu = float(_J_many(n, [a], clamped_radial_root(n, 0))[0])
     if math.isnan(mu):
         raise ConvergenceError(f"two-ball bracketing failed for n={n}, a={a}: no sign change in the k scan")
-    return TwoBallResult(n, a, b, mu)
+    return mu
 
 
 def _t_to_a(t, n: int):
@@ -327,8 +313,8 @@ def c_constant(n: int) -> float:
     """c_n = 2^(2/n) (j_{n/2-1,1} / j_{n/2,1})^2, the buckling lower-bound constant."""
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    num = specfun.bessel_zero(n / 2.0 - 1.0, 1).value
-    den = specfun.bessel_zero(n / 2.0, 1).value
+    num = specfun.bessel_zero(n / 2.0 - 1.0, 1)
+    den = specfun.bessel_zero(n / 2.0, 1)
     return 2.0 ** (2.0 / n) * (num / den) ** 2
 
 

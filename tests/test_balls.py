@@ -71,12 +71,46 @@ def test_clamped_ratios_match_published_values():
     assert abs(c3.values[1] / c3.values[0] - 3.2390) < 1e-3
 
 
+def _assert_spectrum(values, expected, rel):
+    assert len(values) == len(expected)
+    for got, want in zip(values, expected):
+        assert abs(got - want) <= rel * want, (values, expected)
+
+
+def test_full_disk_clamped_spectrum():
+    # lambda^2 = sqrt(Gamma) of the clamped disk (Leissa, Vibration of Plates, 1969)
+    lam2 = [10.2158, 21.2604, 21.2604, 34.8770, 34.8770, 39.7711]
+    s = clamped_ball(BallSpec(2), 6)
+    _assert_spectrum([math.sqrt(v) for v in s.values], lam2, 1e-5)
+    assert s.values[1] == s.values[2] and s.values[3] == s.values[4]
+
+
+def test_full_disk_buckling_spectrum():
+    # Lambda = j^2 over the families J_{1+l}: j_11, j_21 x2, j_31 x2, j_12, j_41 x2
+    zeros = [(1, 1), (2, 1), (2, 1), (3, 1), (3, 1), (1, 2), (4, 1), (4, 1)]
+    expected = [float(mpmath.besseljzero(v, k)) ** 2 for v, k in zeros]
+    _assert_spectrum(buckling_ball(BallSpec(2), 8).values, expected, 1e-13)
+
+
+def test_second_plate_mode_has_multiplicity_n():
+    for ball in (clamped_ball, buckling_ball):
+        v = ball(BallSpec(3), 5).values
+        assert v[1] == v[2] == v[3]
+        assert v[0] < v[1] and v[4] > v[1] * (1.0 + 1e-9)
+
+
+def test_grid_disk_clamped_spectrum_matches_closed_form(corpus_bundles):
+    # the README's 3% tolerance for plate quantities on curved domains
+    grid = corpus_bundles["disk"].clamped.values
+    _assert_spectrum(grid, clamped_ball(BallSpec(2), len(grid)).values, 0.03)
+
+
 def _radial_root_cases():
     for v in (0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0):
         for k in range(1, 7):
-            yield f"j_{v},{k}", specfun.bessel_zero(v, k).value, lambda x, v=v: mpmath.besselj(v, x)
+            yield f"j_{v},{k}", specfun.bessel_zero(v, k), lambda x, v=v: mpmath.besselj(v, x)
     for n in range(2, 9):
-        for ell in (0, 1):
+        for ell in (0, 1, 2) if n == 2 else (0, 1):
             nu = n / 2.0 - 1.0 + ell
             yield f"clamped n={n} l={ell}", clamped_radial_root(n, ell), lambda x, nu=nu: (
                 mpmath.besselj(nu, x) * mpmath.besseli(nu + 1, x) + mpmath.besseli(nu, x) * mpmath.besselj(nu + 1, x)
@@ -116,7 +150,7 @@ def test_buckling_formula_from_volume():
     for n in (2, 3, 5):
         spec = BallSpec(n, 1.37)
         lam = buckling_ball(spec, 1).values[0]
-        pred = (unit_ball_volume(n) / spec.volume) ** (2.0 / n) * specfun.bessel_zero(n / 2.0, 1).value ** 2
+        pred = (unit_ball_volume(n) / spec.volume) ** (2.0 / n) * specfun.bessel_zero(n / 2.0, 1) ** 2
         assert abs(lam - pred) < 1e-10 * lam
 
 
@@ -147,7 +181,7 @@ def test_input_validation():
     with pytest.raises(ValueError):
         dirichlet_ball(BallSpec(2), 0)
     with pytest.raises(ValueError):
-        clamped_ball(BallSpec(2), 3)
+        clamped_ball(BallSpec(2), 0)
     with pytest.raises(ValueError):
         BallSpec(1)
     with pytest.raises(ValueError):

@@ -233,7 +233,7 @@ class TestVerify:
     def test_slack_prints_no_round_off(self, tmp_path, monkeypatch):
         # fixed_lambda1 with lambda_2 a hair below its bound: slack ~3e-6 against lhs ~50
         lam1 = 2.0 * math.pi**2
-        bound = (specfun.bessel_zero(1.0, 1).value * math.sqrt(lam1) / specfun.bessel_zero(0.0, 1).value) ** 2
+        bound = (specfun.bessel_zero(1.0, 1) * math.sqrt(lam1) / specfun.bessel_zero(0.0, 1)) ** 2
         cells = []
         for lam2 in (bound - 3e-6, math.nextafter(bound - 3e-6, 0.0)):  # one ulp apart
 
@@ -319,3 +319,27 @@ class TestSpectrumCommand:
                      "--problem", "dirichlet", "--h", "0.25", "--m", "20"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+
+@pytest.mark.parametrize("shape", [
+    '{"type": "disk", "radius": "1"}',
+    '{"type": "disk", "radius": Infinity}',
+    '{"type": "disk", "radius": true}',
+    '{"type": "ellipse", "a": 1.0, "b": NaN}',
+    '{"type": "rectangle", "width": 1.0, "height": "1"}',
+    '{"type": "annulus", "r_inner": 0.5, "r_outer": Infinity}',
+    '{"type": "polygon", "vertices": [[0, 0], [1, 0], [0, Infinity]]}',
+], ids=["disk_string", "disk_inf", "disk_bool", "ellipse_nan", "rectangle_string", "annulus_inf", "polygon_inf"])
+@pytest.mark.parametrize("command", ["spectrum", "verify"])
+def test_non_finite_shape_parameter_is_usage_error(tmp_path, capsys, shape, command):
+    out = tmp_path / "out"
+    if command == "spectrum":
+        argv = ["spectrum", "--shape", shape, "--problem", "dirichlet", "--h", "0.25"]
+    else:
+        cfg = write_config(tmp_path / "cfg.json")
+        text = cfg.read_text(encoding="utf-8")
+        cfg.write_text(text.replace('{"type": "rectangle", "width": 1.0, "height": 1.0}', shape), encoding="utf-8")
+        argv = ["verify", str(cfg)]
+    assert main(["--output-dir", str(out), *argv]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()

@@ -108,18 +108,18 @@ def test_derivative_identities():
 
 def test_zero_values_and_ratio():
     z = specfun.bessel_zero(0.0, 1)
-    assert abs(z.value - bisect_j0_zero()) < 1e-10
-    ratio = (specfun.bessel_zero(1.0, 1).value / z.value) ** 2
+    assert abs(z - bisect_j0_zero()) < 1e-10
+    ratio = (specfun.bessel_zero(1.0, 1) / z) ** 2
     assert abs(ratio - 2.5387) < 5e-4
 
 
 def test_half_order_zeros_are_multiples_of_pi():
     for k in (1, 2, 3, 7):
-        assert abs(specfun.bessel_zero(0.5, k).value - k * math.pi) < 1e-10
+        assert abs(specfun.bessel_zero(0.5, k) - k * math.pi) < 1e-10
 
 
 def test_zeros_strictly_increasing_and_interlacing():
-    table = {v: [z.value for z in specfun.bessel_zeros(v, 6)] for v in (0.0, 1.0, 2.0, 3.0)}
+    table = {v: specfun.bessel_zeros(v, 6) for v in (0.0, 1.0, 2.0, 3.0)}
     for v, zs in table.items():
         assert all(a < b for a, b in zip(zs, zs[1:]))
     for v in (0.0, 1.0, 2.0):
@@ -130,8 +130,8 @@ def test_zeros_strictly_increasing_and_interlacing():
 def test_zero_residual_invariant():
     for v in (0.0, 0.5, 2.0, 7.5):
         z = specfun.bessel_zero(v, 3)
-        resid = abs(specfun.bessel_j(v, z.value))
-        assert resid < 1e-10 * max(1.0, abs(specfun.bessel_j_deriv(v, z.value)))
+        resid = abs(specfun.bessel_j(v, z))
+        assert resid < 1e-10 * max(1.0, abs(specfun.bessel_j_deriv(v, z)))
 
 
 def test_deriv_zero_n2_matches_bisection_of_j1_prime():

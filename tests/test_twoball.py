@@ -12,11 +12,10 @@ import pytest
 from eigenineq import specfun, twoball
 from eigenineq.balls import BallSpec, clamped_ball, clamped_radial_root
 from eigenineq.cli import main, run_constants
-from eigenineq.specfun.errors import ConvergenceError
+from eigenineq.specfun import ConvergenceError
 from eigenineq.twoball import (
     TALENTI_D_PRIME,
     J_of_a,
-    ball_eigenvalue,
     c_constant,
     curve_table,
     d_constant,
@@ -36,16 +35,15 @@ PINNED_D = {
 
 
 def test_endpoints_return_ball_value():
-    ball = ball_eigenvalue(2)
-    assert abs(ball - clamped_ball(BallSpec(2), 1).values[0]) < 1e-9 * ball
+    ball = clamped_ball(BallSpec(2), 1).values[0]
     for a in (0.0, 1.0, 5e-4):
-        assert J_of_a(2, a).eigenvalue == ball
+        assert J_of_a(2, a) == ball
 
 
 def test_det_fixed_sign_below_first_root():
     # below the smallest eigenvalue the determinant never changes sign
     n, a = 2, 0.6
-    mu1 = J_of_a(n, a).eigenvalue
+    mu1 = J_of_a(n, a)
     signs = {secular_det(n, a, (f * mu1**0.25) ** 4) > 0.0 for f in np.linspace(0.3, 0.97, 30)}
     assert len(signs) == 1
 
@@ -54,23 +52,23 @@ def test_det_small_at_root():
     # rows are sup-normalized, so the determinant scale is O(1)
     for n, t in [(2, 0.37), (4, 0.5), (5, 0.21)]:
         a = t ** (1.0 / n)
-        mu = J_of_a(n, a).eigenvalue
+        mu = J_of_a(n, a)
         assert abs(secular_det(n, a, mu)) < 1e-8
 
 
 def test_symmetry_about_half():
     for n in (2, 3, 4, 6):
         for t in (0.15, 0.3, 0.45):
-            j1 = J_of_a(n, t ** (1.0 / n)).eigenvalue
-            j2 = J_of_a(n, (1.0 - t) ** (1.0 / n)).eigenvalue
+            j1 = J_of_a(n, t ** (1.0 / n))
+            j2 = J_of_a(n, (1.0 - t) ** (1.0 / n))
             assert abs(j1 - j2) <= 1e-7 * j1
 
 
 def test_limit_toward_clamped_ball():
     # as a -> 1 the small-ball conditions wash out and J approaches the
     # clamped-ball eigenvalue monotonically from above
-    ball = ball_eigenvalue(2)
-    js = [J_of_a(2, (1.0 - t) ** 0.5).eigenvalue for t in (0.02, 0.005, 0.002)]
+    ball = clamped_ball(BallSpec(2), 1).values[0]
+    js = [J_of_a(2, (1.0 - t) ** 0.5) for t in (0.02, 0.005, 0.002)]
     gaps = [j / ball - 1.0 for j in js]
     assert all(g > 0.0 for g in gaps)
     assert gaps[0] > gaps[1] > gaps[2]
@@ -82,8 +80,8 @@ def test_symmetric_point_equals_single_ball_mode():
     # equation reduces to J_{n/2-1}(k a) = 0
     for n in (2, 4):
         a = 0.5 ** (1.0 / n)
-        expect = (specfun.bessel_zero(n / 2.0 - 1.0, 1).value / a) ** 4
-        got = J_of_a(n, a).eigenvalue
+        expect = (specfun.bessel_zero(n / 2.0 - 1.0, 1) / a) ** 4
+        got = J_of_a(n, a)
         assert abs(got - expect) < 1e-7 * expect
 
 
