@@ -19,11 +19,15 @@ class RasterizeError(ValueError):
     """Shape and mesh width produce an unusable mask."""
 
 
+def _finite_real(value):
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
 def _require_finite(shape):
     """Raise ValueError unless every field of `shape` is a finite real number (not a bool)."""
     for f in fields(shape):
         value = getattr(shape, f.name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        if not _finite_real(value):
             raise ValueError(f"{f.name} must be a finite real number, got {value!r}")
 
 
@@ -184,9 +188,9 @@ class Polygon:
     def __post_init__(self):
         if len(self.vertices) < 3:
             raise ValueError("polygon needs at least 3 vertices")
+        if not all(_finite_real(c) for x, y in self.vertices for c in (x, y)):
+            raise ValueError(f"vertex coordinates must be finite real numbers, got {self.vertices}")
         object.__setattr__(self, "vertices", tuple((float(x), float(y)) for x, y in self.vertices))
-        if not all(math.isfinite(c) for v in self.vertices for c in v):
-            raise ValueError(f"polygon vertices must be finite, got {self.vertices}")
 
     def contains(self, x, y):
         # crossing-number parity with points on an edge explicitly excluded

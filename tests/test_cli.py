@@ -329,7 +329,9 @@ class TestSpectrumCommand:
     '{"type": "rectangle", "width": 1.0, "height": "1"}',
     '{"type": "annulus", "r_inner": 0.5, "r_outer": Infinity}',
     '{"type": "polygon", "vertices": [[0, 0], [1, 0], [0, Infinity]]}',
-], ids=["disk_string", "disk_inf", "disk_bool", "ellipse_nan", "rectangle_string", "annulus_inf", "polygon_inf"])
+    '{"type": "polygon", "vertices": [["0", "0"], ["1", "0"], ["0", "1"]]}',
+], ids=["disk_string", "disk_inf", "disk_bool", "ellipse_nan", "rectangle_string", "annulus_inf", "polygon_inf",
+        "polygon_string"])
 @pytest.mark.parametrize("command", ["spectrum", "verify"])
 def test_non_finite_shape_parameter_is_usage_error(tmp_path, capsys, shape, command):
     out = tmp_path / "out"
