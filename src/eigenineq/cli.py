@@ -23,7 +23,7 @@ import sys
 from pathlib import Path
 
 from .catalog import CATALOG, CONJECTURE, PROVEN, DomainSpectra, evaluate_all
-from .grid.domain import Annulus, Disk, Ellipse, LShape, Polygon, Rectangle, Shape
+from .grid.domain import Annulus, Disk, Ellipse, LShape, Polygon, Rectangle, Shape, _finite_real
 from .grid.solve import SolverError, solve_shape
 from .spectra import ProblemKind
 from .twoball import TALENTI_D_PRIME, c_constant, curve_table, d_constants
@@ -139,8 +139,8 @@ def load_config(path: str) -> dict:
     mesh = cfg.get("mesh", {})
     if not isinstance(mesh, dict):
         raise ConfigError(f"mesh must be an object, got {mesh!r}")
-    if not (isinstance(mesh.get("h"), (int, float)) and mesh["h"] > 0):
-        raise ConfigError("mesh.h must be a positive number")
+    if not (_finite_real(mesh.get("h")) and mesh["h"] > 0):
+        raise ConfigError("mesh.h must be a finite real number > 0")
     if _integer(mesh.get("levels", 0), "mesh.levels") < 2:
         raise ConfigError("mesh.levels must be >= 2 (extrapolation needs two levels)")
     if _integer(cfg.get("m_max", 0), "m_max") < 1:

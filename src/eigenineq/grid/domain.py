@@ -2,8 +2,9 @@
 
 Nodes sit on the global lattice x = i h, y = j h (so refining h -> h/2
 nests the grids); the mask holds exactly the nodes strictly inside the
-shape. Every shape carries an exact area (and perimeter, used to bound
-the rasterization area error).
+shape. Every shape carries an exact area; `rasterize` rejects a mask
+whose node-count area misses it by more than a bound set by the mask's
+own boundary.
 """
 
 import math
@@ -46,10 +47,6 @@ class Disk:
         return math.pi * self.radius**2
 
     @property
-    def perimeter(self):
-        return 2.0 * math.pi * self.radius
-
-    @property
     def bbox(self):
         r = self.radius
         return (-r, r, -r, r)
@@ -75,12 +72,6 @@ class Ellipse:
         return math.pi * self.a * self.b
 
     @property
-    def perimeter(self):
-        # Ramanujan's approximation; only used for an O(h) sanity bound
-        h = (self.a - self.b) ** 2 / (self.a + self.b) ** 2
-        return math.pi * (self.a + self.b) * (1.0 + 3.0 * h / (10.0 + math.sqrt(4.0 - 3.0 * h)))
-
-    @property
     def bbox(self):
         return (-self.a, self.a, -self.b, self.b)
 
@@ -103,10 +94,6 @@ class Rectangle:
     @property
     def area(self):
         return self.width * self.height
-
-    @property
-    def perimeter(self):
-        return 2.0 * (self.width + self.height)
 
     @property
     def bbox(self):
@@ -137,10 +124,6 @@ class LShape:
         return self.w1 + self.w2 - self.w1 * self.w2
 
     @property
-    def perimeter(self):
-        return 4.0  # outer box edges rearranged; the notch adds nothing
-
-    @property
     def bbox(self):
         return (0.0, 1.0, 0.0, 1.0)
 
@@ -166,10 +149,6 @@ class Annulus:
     @property
     def area(self):
         return math.pi * (self.r_outer**2 - self.r_inner**2)
-
-    @property
-    def perimeter(self):
-        return 2.0 * math.pi * (self.r_inner + self.r_outer)
 
     @property
     def bbox(self):
@@ -202,6 +181,8 @@ class Polygon:
         verts = self.vertices
         scale = max(max(abs(c) for v in verts for c in v), 1.0)
         for (x1, y1), (x2, y2) in zip(verts, verts[1:] + verts[:1]):
+            if x1 == x2 and y1 == y2:  # a repeated vertex (say, a closed ring) adds no edge
+                continue
             crosses = (y1 > y) != (y2 > y)
             with np.errstate(divide="ignore", invalid="ignore"):
                 xint = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
@@ -219,11 +200,6 @@ class Polygon:
         for (x1, y1), (x2, y2) in zip(verts, verts[1:] + verts[:1]):
             s += x1 * y2 - x2 * y1
         return abs(s) / 2.0
-
-    @property
-    def perimeter(self):
-        verts = self.vertices
-        return sum(math.hypot(x2 - x1, y2 - y1) for (x1, y1), (x2, y2) in zip(verts, verts[1:] + verts[:1]))
 
     @property
     def bbox(self):
@@ -288,8 +264,11 @@ def rasterize(shape: Shape, h: float) -> GridDomain:
     """Mask of lattice nodes strictly inside the shape.
 
     Raises RasterizeError for an empty or 4-disconnected mask, or when the
-    node-count area disagrees with the exact area beyond the O(perimeter*h)
-    bound.
+    node-count area disagrees with the exact area by more than 2 cut h^2,
+    where cut = 4 node_count - adjacency.nnz counts the lattice links from
+    an interior node to an exterior one. Each cut link stands for a
+    boundary stretch of about h, so the bound is O(perimeter h) without
+    asking the shape for its perimeter.
     """
     if not (h > 0.0 and math.isfinite(h)):
         raise RasterizeError(f"mesh width must be positive, got {h}")
@@ -312,8 +291,8 @@ def rasterize(shape: Shape, h: float) -> GridDomain:
     ncomp = connected_components(domain.adjacency, directed=False)[0]
     if ncomp != 1:
         raise RasterizeError(f"mask for {shape.label} at h={h} has {ncomp} components")
-    gap = abs(domain.area_discrete - shape.area)
-    if gap > 2.0 * shape.perimeter * h:
+    cut = 4 * domain.node_count - domain.adjacency.nnz
+    if abs(domain.area_discrete - shape.area) > 2.0 * cut * h * h:
         raise RasterizeError(
             f"area mismatch for {shape.label} at h={h}: {domain.area_discrete} vs {shape.area}"
         )

@@ -69,6 +69,8 @@ def smallest_eigs(op: DiscreteOperator, m: int, factors: dict | None = None) -> 
     n = op.dim
     if not 1 <= m < n - 1:
         raise ValueError(f"need 1 <= m < {n - 1}, got {m}")
+    if op.kind is ProblemKind.NEUMANN and m < 2:
+        raise ValueError(f"Neumann needs m >= 2 (the first value is the constant mode), got {m}")
     rng = np.random.default_rng(_SEED)
     v0 = rng.standard_normal(n)
     sigma = 0.0

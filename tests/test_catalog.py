@@ -292,16 +292,23 @@ class TestEvaluateAll:
         assert {r.domain for r in evaluate_all(disk_bundle, m_max=5)} == {"disk"}
         assert chain_check(disk_bundle, 1).domain == "disk"
 
-    def test_formula_reading_outside_its_needs_is_rejected(self, disk_bundle, monkeypatch):
-        # the bundle holds a Neumann spectrum, but faber_krahn's tolerance would not include its allowance
-        row = dataclasses.replace(CATALOG["faber_krahn"],
-                                  formula=lambda values, n, m, area: (values("neumann", 2)[1], 1.0))
-        monkeypatch.setitem(CATALOG, "faber_krahn", row)
-        for run in (lambda: check("faber_krahn", disk_bundle),
-                    lambda: evaluate_all(disk_bundle, m_max=1, ids=["faber_krahn"])):
-            with pytest.raises(ValueError, match="not in its needs") as info:
-                run()
-            assert not isinstance(info.value, SpectrumTooShort)
+    def test_tolerance_sums_the_allowances_of_the_spectra_read(self, disk_bundle, monkeypatch):
+        a_d, a_n = 1e-3, 3e-4
+        bundle = dataclasses.replace(disk_bundle,
+                                     dirichlet=dataclasses.replace(disk_bundle.dirichlet, allowance=a_d),
+                                     neumann=dataclasses.replace(disk_bundle.neumann, allowance=a_n))
+        # faber_krahn reads only the Dirichlet spectrum
+        r = check("faber_krahn", bundle)
+        assert r.tolerance_used == pytest.approx((1e-9 + 2.0 * a_d) * max(abs(r.lhs), abs(r.rhs)), rel=1e-12)
+
+        # a formula reading both membrane spectra pays both allowances
+        def both(values, n, m, area):
+            return values("neumann", 2)[1], values("dirichlet", 1)[0]
+
+        monkeypatch.setitem(CATALOG, "faber_krahn", dataclasses.replace(CATALOG["faber_krahn"], formula=both))
+        for r in (check("faber_krahn", bundle), *evaluate_all(bundle, m_max=1, ids=["faber_krahn"])):
+            scale = max(abs(r.lhs), abs(r.rhs))
+            assert r.tolerance_used == pytest.approx((1e-9 + 2.0 * (a_d + a_n)) * scale, rel=1e-12)
 
     def test_index_must_match_the_row(self, disk_bundle):
         with pytest.raises(ValueError, match="no index"):

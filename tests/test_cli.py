@@ -101,8 +101,10 @@ class TestConfig:
         ({"problems": [["dirichlet"]]}, "problems"),
         ({"problems": "dirichlet"}, "problems"),
         ({"domains": [{"shape": {"type": "disk", "radius": 1.0}, "label": ["x"]}]}, "label"),
+        ({"mesh": {"h": True, "levels": 2}}, "mesh.h"),
+        ({"mesh": {"h": math.inf, "levels": 2}}, "mesh.h"),
     ], ids=["m_max_text", "k_max_text", "k_max_negative", "levels_text", "mesh_list", "domain_text", "inequalities_text",
-            "inequalities_nested", "problems_nested", "problems_text", "label_list"])
+            "inequalities_nested", "problems_nested", "problems_text", "label_list", "h_bool", "h_infinite"])
     def test_malformed_value_is_a_usage_error(self, tmp_path, capsys, override, field):
         cfg = write_config(tmp_path / "c.json", **override)
         out = tmp_path / "out"
@@ -304,14 +306,17 @@ class TestSpectrumCommand:
                      "--problem", "dirichlet", "--h", "0.25"]) == 2
         assert "shape" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("shape,m", [
-        ('{"type": "rectangle", "width": 0.01, "height": 0.01}', "6"),  # does not rasterize
-        ('{"type": "rectangle", "width": 1.0, "height": 1.0}', "20"),  # more eigenvalues than the mesh has
-    ], ids=["unrasterizable", "m_too_large"])
-    def test_unsolvable_request_is_usage_error(self, tmp_path, capsys, shape, m):
-        assert main(["--output-dir", str(tmp_path), "spectrum", "--shape", shape,
-                     "--problem", "dirichlet", "--h", "0.25", "--m", m]) == 2
+    @pytest.mark.parametrize("shape,problem,m", [
+        ('{"type": "rectangle", "width": 0.01, "height": 0.01}', "dirichlet", "6"),  # does not rasterize
+        ('{"type": "rectangle", "width": 1.0, "height": 1.0}', "dirichlet", "20"),  # more values than the mesh has
+        ('{"type": "disk", "radius": 1.0}', "neumann", "1"),  # only the constant mode
+    ], ids=["unrasterizable", "m_too_large", "neumann_m1"])
+    def test_unsolvable_request_is_usage_error(self, tmp_path, capsys, shape, problem, m):
+        out = tmp_path / "out"
+        assert main(["--output-dir", str(out), "spectrum", "--shape", shape,
+                     "--problem", problem, "--h", "0.25", "--levels", "2", "--m", m]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
     def test_usage_error_leaves_no_output_dir(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -61,6 +62,24 @@ class TestRasterize:
         bowtie = Polygon(((0, 0), (0.55, 0), (0.55, 0.55), (1, 0.55), (1, 1), (0.55, 1), (0.55, 0.55), (0, 0.55)))
         with pytest.raises(RasterizeError, match="has 2 components"):
             rasterize(bowtie, 0.125)
+
+    def test_area_mismatch_rejected(self):
+        class MisstatedDisk(Disk):  # contains() draws a unit disk, area claims twice as much
+            @property
+            def area(self):
+                return 2.0 * math.pi
+
+        with pytest.raises(RasterizeError, match="area mismatch"):
+            rasterize(MisstatedDisk(1.0), 1.0 / 32.0)
+
+    def test_closed_polygon_ring_matches_open_ring(self):
+        ring = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            closed = rasterize(Polygon((*ring, ring[0])), 1.0 / 8.0)
+        opened = rasterize(Polygon(ring), 1.0 / 8.0)
+        assert np.array_equal(closed.mask, opened.mask)
+        assert (closed.x0, closed.y0) == (opened.x0, opened.y0)
 
     def test_cli_start_does_not_import_scipy_ndimage(self):
         code = (
