@@ -19,6 +19,8 @@ import functools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import specfun
 from .spectra import ProblemKind, Provenance, Spectrum
 from .specfun._zeros import scan_zeros
@@ -59,16 +61,22 @@ class BallSpec:
 def _clamped_roots(nu, kmax=math.inf, bound=math.inf):
     """Roots of J_nu(x) I_{nu+1}(x) + I_nu(x) J_{nu+1}(x) = 0: the first kmax, or all up to `bound`.
 
-    I is evaluated exponentially scaled to keep the scan overflow-free
-    (a positive rescaling preserves the roots).
+    An ndarray of orders is scanned in one batch and gives one list per
+    order, each equal to that order's call. I is evaluated exponentially
+    scaled to keep the scan overflow-free (a positive rescaling preserves
+    the roots).
     """
+    orders = np.ravel(nu).astype(float)
 
-    def f(x):
+    def f(x, r):
+        nu = orders[r]
         jv, jv1 = specfun.bessel_j_pair(nu, x)
         iv, iv1 = specfun.bessel_i_scaled_pair(nu, x)
         return jv * iv1 + iv * jv1
 
-    return scan_zeros(f, kmax, 0.25, 0.5, what=f"clamped radial root (nu={nu})", bound=bound)
+    roots = scan_zeros(f, kmax, np.full(orders.size, 0.25), 0.5,
+                       lambda r: f"clamped radial root (nu={orders[r]})", bound)
+    return roots if isinstance(nu, np.ndarray) else roots[0]
 
 
 # problem -> (order of the degree-0 radial family minus n/2, roots(nu, kmax=, bound=)
@@ -87,23 +95,22 @@ def _unit_roots(kind: ProblemKind, n: int, count: int) -> tuple[float, ...]:
     Degree l contributes the roots of order nu0 + l, each repeated with the
     degree-l harmonic multiplicity. Families are merged up to a cutoff grown
     until it provably covers `count` values: each family's first root
-    exceeds its order, and first roots increase with l.
+    exceeds its order, and first roots increase with l. Each cutoff scans
+    every degree with nu0 + l below it in one batch.
     """
     offset, roots, _ = _RADIAL[kind]
     nu0 = n / 2.0 + offset
     zcut = roots(nu0, kmax=1)[0] + 2.0
     while True:
+        orders = nu0 + np.arange(int(zcut) + 1)  # nu0 >= 0: every l with nu0 + l < zcut, and more
         items = []
         total = 0
-        ell = 0
-        while nu0 + ell < zcut:
-            zs = roots(nu0 + ell, bound=zcut)
+        for ell, zs in enumerate(roots(orders[orders < zcut], bound=zcut)):
             if not zs:
                 break
             mult = harmonic_multiplicity(n, ell)
             items.extend((z, mult) for z in zs)
             total += mult * len(zs)
-            ell += 1
         if total >= count:
             break
         zcut *= 1.4

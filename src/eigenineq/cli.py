@@ -31,6 +31,8 @@ from .twoball import TALENTI_D_PRIME, c_constant, curve_table, d_constants
 _SCHEMA_VERSION = 1
 _SUMMARY_VERSION = 1
 _CONFIG_KEYS = {"schema_version", "domains", "problems", "mesh", "m_max", "k_max", "inequalities", "output_dir"}
+_MESH_KEYS = {"h", "levels"}
+_DOMAIN_KEYS = {"shape", "label"}
 
 
 class ConfigError(ValueError):
@@ -122,11 +124,13 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"config parse error at {path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"config {path} must hold a JSON object, got {type(cfg).__name__}")
-    if cfg.get("schema_version") != _SCHEMA_VERSION:
-        raise ConfigError(f"config schema_version must be {_SCHEMA_VERSION}")
+    if type(cfg.get("schema_version")) is not int or cfg["schema_version"] != _SCHEMA_VERSION:
+        raise ConfigError(f"config schema_version must be the integer {_SCHEMA_VERSION}")
     unknown = set(cfg) - _CONFIG_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys {sorted(unknown)}")
+    if not isinstance(cfg.get("output_dir", ""), str):
+        raise ConfigError(f"output_dir must be a string, got {cfg['output_dir']!r}")
     domains = cfg.get("domains")
     if not domains:
         raise ConfigError("config needs a nonempty 'domains' list")
@@ -139,6 +143,8 @@ def load_config(path: str) -> dict:
     mesh = cfg.get("mesh", {})
     if not isinstance(mesh, dict):
         raise ConfigError(f"mesh must be an object, got {mesh!r}")
+    if unknown := set(mesh) - _MESH_KEYS:
+        raise ConfigError(f"mesh has unknown keys {sorted(unknown)}")
     if not (_finite_real(mesh.get("h")) and mesh["h"] > 0):
         raise ConfigError("mesh.h must be a finite real number > 0")
     if _integer(mesh.get("levels", 0), "mesh.levels") < 2:
@@ -150,6 +156,8 @@ def load_config(path: str) -> dict:
     for d in domains:
         if not isinstance(d, dict):
             raise ConfigError(f"domains must hold objects, got {d!r}")
+        if unknown := set(d) - _DOMAIN_KEYS:
+            raise ConfigError(f"domains entry has unknown keys {sorted(unknown)}")
         parse_shape(d.get("shape"))
         label = d.get("label")
         if label is not None and not isinstance(label, str):

@@ -263,6 +263,8 @@ def _path(k):
 def rasterize(shape: Shape, h: float) -> GridDomain:
     """Mask of lattice nodes strictly inside the shape.
 
+    Nodes with no interior 4-neighbour are dropped first: they couple to
+    nothing, and in a Neumann problem each would add a zero mode.
     Raises RasterizeError for an empty or 4-disconnected mask, or when the
     node-count area disagrees with the exact area by more than 2 cut h^2,
     where cut = 4 node_count - adjacency.nnz counts the lattice links from
@@ -280,6 +282,8 @@ def rasterize(shape: Shape, h: float) -> GridDomain:
     x = (ii * h)[:, None]
     y = (jj * h)[None, :]
     mask = shape.contains(x, y)
+    pad = np.pad(mask, 1)  # a node with no interior 4-neighbour carries no stencil: drop it
+    mask &= pad[:-2, 1:-1] | pad[2:, 1:-1] | pad[1:-1, :-2] | pad[1:-1, 2:]
     if not mask.any():
         raise RasterizeError(f"empty mask for {shape.label} at h={h}")
     rows = np.nonzero(mask.any(axis=1))[0]

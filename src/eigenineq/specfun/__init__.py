@@ -1,13 +1,14 @@
 """Bessel functions of the first kind, modified Bessel functions, and zeros.
 
 Values come from ``scipy.special`` (``jv``, ``ive``); this module adds
-argument validation, derivatives, and zeros by scan-bracketing plus
-bisection to float resolution (``_zeros``), which, unlike
-``scipy.special.jn_zeros``, handles the half-integer orders of odd
-dimensions. The two pair functions also take ndarray orders and
-arguments, broadcast against each other, and return arrays, so batched
-callers share this one validated layer. All functions are pure and safe
-to call concurrently.
+argument validation, derivatives, and zeros from the package's one root
+finder, the lockstep scan plus bisection to float resolution of
+``_zeros.scan_zeros``, which, unlike ``scipy.special.jn_zeros``, handles
+the half-integer orders of odd dimensions. The two pair functions also
+take ndarray orders and arguments, broadcast against each other, and
+return arrays, and ``bessel_zeros`` takes an ndarray of orders and scans
+them all at once, so batched callers share this one validated layer.
+All functions are pure and safe to call concurrently.
 """
 
 import math
@@ -86,27 +87,31 @@ def bessel_i_scaled_pair(v, x):
     return _pair(special.ive, v, x)
 
 
-def bessel_zeros(v: float, kmax=math.inf, bound=math.inf) -> list[float]:
+def bessel_zeros(v, kmax=math.inf, bound=math.inf):
     """Positive zeros of J_v, strictly increasing: the first kmax, or all up to `bound`.
 
     Whichever limit the scan meets first ends it, so at least one must be
     finite. Every zero re-evaluates to |J_v(z)| < 1e-10 max(1, |J_v'(z)|),
     or ConvergenceError is raised. A zero found under either limit has
-    the same floating-point value.
+    the same floating-point value. An ndarray of orders is scanned in one
+    batch and gives one list per order, each equal to that order's call.
     """
-    _check_order_arg(v, 0.0)
+    orders = np.ravel(v).astype(float)
+    _check_order_args(orders, 0.0)
     if not kmax >= 1:
         raise ValueError(f"kmax must be >= 1, got {kmax}")
     if not bound >= 0.0 or kmax == bound == math.inf:
         raise ValueError(f"bound must be nonnegative, and finite when kmax is not; got {bound}")
-    start = 0.5 if v == 0.0 else max(0.5, math.sqrt(v * (v + 2.0)) - 0.5)
-    zeros = scan_zeros(lambda x: bessel_j(v, x), kmax, start, 0.9, what=f"zero of J_{v}", bound=bound)
-    for k, z in enumerate(zeros, 1):
-        resid = abs(bessel_j(v, z))
-        limit = 1e-10 * max(1.0, abs(bessel_j_deriv(v, z)))
-        if resid >= limit:
-            raise ConvergenceError(f"zero ({v}, {k}) residual {resid:.3e} exceeds {limit:.3e}")
-    return zeros
+    start = np.maximum(0.5, np.sqrt(orders * (orders + 2.0)) - 0.5)
+    zeros = scan_zeros(lambda x, r: special.jv(orders[r], x), kmax, start, 0.9,
+                       lambda r: f"zero of J_{orders[r]}", bound)
+    for order, zs in zip(orders.tolist(), zeros):
+        for k, z in enumerate(zs, 1):
+            resid = abs(bessel_j(order, z))
+            limit = 1e-10 * max(1.0, abs(bessel_j_deriv(order, z)))
+            if resid >= limit:
+                raise ConvergenceError(f"zero ({order}, {k}) residual {resid:.3e} exceeds {limit:.3e}")
+    return zeros if isinstance(v, np.ndarray) else zeros[0]
 
 
 def bessel_zero(v: float, k: int) -> float:
@@ -127,8 +132,8 @@ def bessel_j_deriv_zero(nu: float, k: int) -> float:
         raise ValueError(f"k must be >= 1, got {k}")
     c = 2.0 * nu - 1.0
 
-    def f(p):
+    def f(p, _):
         jm, jn = bessel_j_pair(nu - 1.0, p)
         return jm - (c / p) * jn
 
-    return scan_zeros(f, k, 0.2, 0.5, what=f"radial Neumann root (nu={nu})")[k - 1]
+    return scan_zeros(f, k, 0.2, 0.5, lambda _: f"radial Neumann root (nu={nu})")[0][k - 1]

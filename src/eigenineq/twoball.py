@@ -27,8 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
-from .balls import clamped_radial_root
+from .balls import _clamped_roots, clamped_radial_root
 from .specfun import ConvergenceError
+from .specfun._zeros import scan_zeros
 
 # Reference values of the decoupled-problem constants (not computed here;
 # no construction for them is implemented). The n=3 entry appears under a
@@ -109,85 +110,29 @@ def secular_det(n, a, mu):
     return float(det) if det.ndim == 0 else det
 
 
-def _scan_grids(k0s):
-    """k and mu = k^4 on the scan grid of each root in `k0s`: NaN-padded rows.
-
-    A grid starts at 0.5 k0 and adds k0/50 until it reaches 2 k0. Steps
-    and powers are taken in Python floats, one root at a time, so a
-    radius meets the same k and mu whatever else shares its batch.
-    """
-    grids = []
-    for k0 in k0s:
-        step = k0 / 50.0
-        ks = [0.5 * k0]
-        while ks[-1] < 2.0 * k0:
-            ks.append(ks[-1] + step)
-        grids.append(ks)
-    ks = np.full((len(grids), max(map(len, grids), default=1)), np.nan)
-    mus = ks.copy()
-    for row, grid in enumerate(grids):
-        ks[row, : len(grid)] = grid
-        mus[row, : len(grid)] = [k**4 for k in grid]
-    return ks, mus
-
-
 def _J_many(n, a, k0) -> np.ndarray:
     """Smallest two-ball eigenvalue at every first-ball radius in `a`.
 
     `n`, `a` and `k0` (the clamped unit-ball root of each n) broadcast
-    against each other, so one batch can mix dimensions. All radii
-    advance in lockstep, one stacked determinant per step.
+    against each other, so one batch can mix dimensions.
     Near-degenerate endpoints (min(a, b) < 1e-3) take the analytic
-    endpoint value k0^4. Every other radius scans k = mu^(1/4) over its
-    own grid, from 0.5 k0 in steps of k0/50 up to 2 k0, and stops at its
-    first sign change; the bracket is then bisected until its width is at
-    most 2.5e-10 of its lower end, i.e. 1e-9 relative in mu. Radii whose
-    scan finds no sign change get NaN.
+    endpoint value k0^4. Every other radius is one row of a `scan_zeros`
+    batch in k = mu^(1/4): the scan runs from 0.5 k0 in steps of k0/50
+    up to 2 k0, and its first sign change is bisected until the bracket
+    width is at most 2.5e-10 of its lower end, i.e. 1e-9 relative in mu.
+    Radii whose scan finds no sign change get NaN.
     """
     n, a, k0 = np.broadcast_arrays(np.asarray(n), np.asarray(a, dtype=float), np.asarray(k0, dtype=float))
     shape = a.shape
     n, a, k0 = n.ravel(), a.ravel(), k0.ravel()
-    k0s, grid = np.unique(k0, return_inverse=True)  # one scan grid per distinct k0
-    ks, mus = _scan_grids(k0s.tolist())
     out = np.full(a.shape, np.nan)
     endpoint = np.minimum(a, _radii(n, a)[0]) < _ENDPOINT_GUARD
-    out[endpoint] = np.array([k**4 for k in k0s.tolist()])[grid[endpoint]]
-
-    # scan: step j compares each radius's grid points j - 1 and j
-    lo, hi, flo = np.full((3,) + a.shape, np.nan)  # sign-change brackets
-    idx = np.flatnonzero(~endpoint)
-    f_prev = secular_det(n[idx], a[idx], mus[grid[idx], 0])
-    for j in range(1, ks.shape[1]):
-        on_grid = ~np.isnan(ks[grid[idx], j])
-        idx, f_prev = idx[on_grid], f_prev[on_grid]
-        if idx.size == 0:
-            break
-        g = grid[idx]
-        f = secular_det(n[idx], a[idx], mus[g, j])
-        root = f == 0.0
-        out[idx[root]] = mus[g[root], j]
-        change = ~root & ((f < 0.0) != (f_prev < 0.0))
-        lo[idx[change]], hi[idx[change]], flo[idx[change]] = ks[g[change], j - 1], ks[g[change], j], f_prev[change]
-        live = ~(root | change)
-        idx, f_prev = idx[live], f[live]
-
-    # bisection of every bracket at once; a radius leaves once converged
-    idx = np.flatnonzero(~np.isnan(lo))
-    lo, hi, flo = lo[idx], hi[idx], flo[idx]
-    for _ in range(200):
-        if idx.size == 0:
-            break
-        mid = 0.5 * (lo + hi)
-        fm = secular_det(n[idx], a[idx], mid**4)
-        zero = fm == 0.0
-        same = (fm < 0.0) == (flo < 0.0)
-        lo = np.where(zero | same, mid, lo)
-        hi = np.where(zero | ~same, mid, hi)
-        flo = np.where(same, fm, flo)
-        done = zero | (hi - lo <= 2.5e-10 * lo)  # 1e-9 relative in mu = k^4
-        out[idx[done]] = (0.5 * (lo[done] + hi[done])) ** 4
-        idx, lo, hi, flo = idx[~done], lo[~done], hi[~done], flo[~done]
-    out[idx] = (0.5 * (lo + hi)) ** 4
+    out[endpoint] = [k**4 for k in k0[endpoint].tolist()]  # Python powers: bit-equal to clamped_ball
+    scan = ~endpoint
+    n, a, k0 = n[scan], a[scan], k0[scan]
+    ks = scan_zeros(lambda k, r: secular_det(n[r], a[r], k**4), 1, 0.5 * k0, k0 / 50.0,
+                    lambda r: f"two-ball root for n={n[r]}, a={a[r]}", bound=2.0 * k0, rtol=2.5e-10)
+    out[scan] = np.array([k[0] if k else np.nan for k in ks]) ** 4
     return out.reshape(shape)
 
 
@@ -195,7 +140,7 @@ def J_of_a(n: int, a: float) -> float:
     """Smallest eigenvalue of the two-ball problem at first-ball radius a,
     under the |Omega| = C_n normalization.
 
-    A one-radius call of the lockstep solver `_J_many`: scan in k =
+    A one-radius call of the batched solver `_J_many`: scan in k =
     mu^(1/4) with step k0/50 from 0.5 k0 to 2 k0, bisection of the first
     sign change to 1e-9 relative in mu, and the analytic endpoint value
     when min(a, b) < 1e-3. Raises ConvergenceError when the scan finds no
@@ -252,7 +197,7 @@ def d_constants(ns) -> dict[int, DConstantResult]:
             raise ValueError(f"n must be >= 2, got {n}")
     if not ns:
         return {}
-    k0 = {n: clamped_radial_root(n, 0) for n in ns}
+    k0 = {n: zs[0] for n, zs in zip(ns, _clamped_roots(np.array(ns) / 2.0 - 1.0, kmax=1))}
     ts = np.linspace(0.0, 1.0, _GRID_POINTS)
     grid, errors = _J_of_t(dict.fromkeys(ns, ts), k0)
     best, zoom = {}, {}  # n -> (t_min, j_min); n -> (x_lo, x_hi, f_lo, f_hi)
@@ -313,8 +258,7 @@ def c_constant(n: int) -> float:
     """c_n = 2^(2/n) (j_{n/2-1,1} / j_{n/2,1})^2, the buckling lower-bound constant."""
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    num = specfun.bessel_zero(n / 2.0 - 1.0, 1)
-    den = specfun.bessel_zero(n / 2.0, 1)
+    (num,), (den,) = specfun.bessel_zeros(np.array([n / 2.0 - 1.0, n / 2.0]), kmax=1)
     return 2.0 ** (2.0 / n) * (num / den) ** 2
 
 

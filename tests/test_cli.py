@@ -103,14 +103,28 @@ class TestConfig:
         ({"domains": [{"shape": {"type": "disk", "radius": 1.0}, "label": ["x"]}]}, "label"),
         ({"mesh": {"h": True, "levels": 2}}, "mesh.h"),
         ({"mesh": {"h": math.inf, "levels": 2}}, "mesh.h"),
+        ({"output_dir": 5}, "output_dir"),
+        ({"mesh": {"h": 1.0 / 16.0, "levels": 2, "lvls": 3}}, "mesh"),
+        ({"domains": [{"shape": {"type": "disk", "radius": 1.0}, "lable": "x"}]}, "domains"),
+        ({"schema_version": True}, "config schema_version"),
+        ({"schema_version": 1.0}, "config schema_version"),
     ], ids=["m_max_text", "k_max_text", "k_max_negative", "levels_text", "mesh_list", "domain_text", "inequalities_text",
-            "inequalities_nested", "problems_nested", "problems_text", "label_list", "h_bool", "h_infinite"])
+            "inequalities_nested", "problems_nested", "problems_text", "label_list", "h_bool", "h_infinite",
+            "output_dir_int", "mesh_typo", "domain_typo", "schema_bool", "schema_float"])
     def test_malformed_value_is_a_usage_error(self, tmp_path, capsys, override, field):
         cfg = write_config(tmp_path / "c.json", **override)
         out = tmp_path / "out"
         assert main(["--output-dir", str(out), "verify", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {field} ")
         assert not out.exists()
+
+    def test_non_string_output_dir_without_flag_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("EIGENINEQ_OUT", raising=False)
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path / "c.json", output_dir=5)
+        assert main(["verify", str(cfg)]) == 2
+        assert capsys.readouterr().err == "error: output_dir must be a string, got 5\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
 
     def test_usage_error_exit_code(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", domains=[])

@@ -63,6 +63,22 @@ class TestRasterize:
         with pytest.raises(RasterizeError, match="has 2 components"):
             rasterize(bowtie, 0.125)
 
+    @pytest.mark.parametrize("steps", [48, 64, 96, 128, 192])
+    def test_acute_corner_node_is_dropped(self, steps):
+        # at h = 1/96 the node (5h, 2h) lies inside the acute corner at
+        # (0.05, 0.02) with no interior 4-neighbour, a second component
+        quad = Polygon(((0.05, 0.02), (1.3, 0.2), (1.0, 0.9), (0.2, 0.7)))
+        d = rasterize(quad, 1.0 / steps)
+        pad = np.pad(d.mask, 1)
+        assert (pad[:-2, 1:-1] | pad[2:, 1:-1] | pad[1:-1, :-2] | pad[1:-1, 2:])[d.mask].all()
+        if steps == 96:
+            assert d.node_count == 6650
+
+    def test_one_isolated_node_is_an_empty_mask(self):
+        # the square holds the single node (0.25, 0.25), which has no stencil
+        with pytest.raises(RasterizeError, match="empty mask"):
+            rasterize(Polygon(((0.2, 0.2), (0.3, 0.2), (0.3, 0.3), (0.2, 0.3))), 0.25)
+
     def test_area_mismatch_rejected(self):
         class MisstatedDisk(Disk):  # contains() draws a unit disk, area claims twice as much
             @property
