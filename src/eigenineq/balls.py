@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from . import specfun
 from .spectra import ProblemKind, Provenance, Spectrum
@@ -67,12 +68,11 @@ def _clamped_roots(nu, kmax=math.inf, bound=math.inf):
     the roots).
     """
     orders = np.ravel(nu).astype(float)
+    specfun._check_orders(orders)
 
     def f(x, r):
         nu = orders[r]
-        jv, jv1 = specfun.bessel_j_pair(nu, x)
-        iv, iv1 = specfun.bessel_i_scaled_pair(nu, x)
-        return jv * iv1 + iv * jv1
+        return special.jv(nu, x) * special.ive(nu + 1.0, x) + special.ive(nu, x) * special.jv(nu + 1.0, x)
 
     roots = scan_zeros(f, kmax, np.full(orders.size, 0.25), 0.5,
                        lambda r: f"clamped radial root (nu={orders[r]})", bound)

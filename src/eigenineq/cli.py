@@ -90,13 +90,12 @@ def parse_shape(desc: dict) -> Shape:
         "rectangle": Rectangle,
         "l_shape": LShape,
         "annulus": Annulus,
+        "polygon": Polygon,
     }
     try:
-        if kind == "polygon":
-            return Polygon(tuple(tuple(v) for v in args["vertices"]))
         if kind in makers:
             return makers[kind](**args)
-    except (TypeError, KeyError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad {kind} descriptor {args}: {exc}") from exc
     raise ConfigError(f"unknown shape type {kind!r}")
 

@@ -24,12 +24,12 @@ def _finite_real(value):
     return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
-def _require_finite(shape):
-    """Raise ValueError unless every field of `shape` is a finite real number (not a bool)."""
+def _require_positive(shape):
+    """Raise ValueError unless every field of `shape` is a finite positive real number (not a bool)."""
     for f in fields(shape):
         value = getattr(shape, f.name)
-        if not _finite_real(value):
-            raise ValueError(f"{f.name} must be a finite real number, got {value!r}")
+        if not (_finite_real(value) and value > 0.0):
+            raise ValueError(f"{f.name} must be a finite positive real number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,7 @@ class Disk:
     radius: float = 1.0
 
     def __post_init__(self):
-        _require_finite(self)
+        _require_positive(self)
 
     def contains(self, x, y):
         return x * x + y * y < self.radius**2
@@ -62,7 +62,7 @@ class Ellipse:
     b: float  # semi-axis along y
 
     def __post_init__(self):
-        _require_finite(self)
+        _require_positive(self)
 
     def contains(self, x, y):
         return (x / self.a) ** 2 + (y / self.b) ** 2 < 1.0
@@ -86,7 +86,7 @@ class Rectangle:
     height: float
 
     def __post_init__(self):
-        _require_finite(self)
+        _require_positive(self)
 
     def contains(self, x, y):
         return (0.0 < x) & (x < self.width) & (0.0 < y) & (y < self.height)
@@ -138,9 +138,9 @@ class Annulus:
     r_outer: float
 
     def __post_init__(self):
-        _require_finite(self)
-        if not (0.0 < self.r_inner < self.r_outer):
-            raise ValueError(f"need 0 < r_inner < r_outer, got {self.r_inner}, {self.r_outer}")
+        _require_positive(self)
+        if not self.r_inner < self.r_outer:
+            raise ValueError(f"need r_inner < r_outer, got {self.r_inner}, {self.r_outer}")
 
     def contains(self, x, y):
         r2 = x * x + y * y
@@ -170,6 +170,8 @@ class Polygon:
         if not all(_finite_real(c) for x, y in self.vertices for c in (x, y)):
             raise ValueError(f"vertex coordinates must be finite real numbers, got {self.vertices}")
         object.__setattr__(self, "vertices", tuple((float(x), float(y)) for x, y in self.vertices))
+        if not self.area > 0.0:
+            raise ValueError(f"polygon must enclose a positive area, got vertices {self.vertices}")
 
     def contains(self, x, y):
         # crossing-number parity with points on an edge explicitly excluded

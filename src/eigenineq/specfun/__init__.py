@@ -1,14 +1,13 @@
-"""Bessel functions of the first kind, modified Bessel functions, and zeros.
+"""Zeros of Bessel functions of the first kind.
 
-Values come from ``scipy.special`` (``jv``, ``ive``); this module adds
-argument validation, derivatives, and zeros from the package's one root
-finder, the lockstep scan plus bisection to float resolution of
-``_zeros.scan_zeros``, which, unlike ``scipy.special.jn_zeros``, handles
-the half-integer orders of odd dimensions. The two pair functions also
-take ndarray orders and arguments, broadcast against each other, and
-return arrays, and ``bessel_zeros`` takes an ndarray of orders and scans
-them all at once, so batched callers share this one validated layer.
-All functions are pure and safe to call concurrently.
+Zeros come from the package's one root finder, the lockstep scan plus
+bisection to float resolution of ``_zeros.scan_zeros``, which, unlike
+``scipy.special.jn_zeros``, handles the half-integer orders of odd
+dimensions. ``bessel_zeros`` takes an ndarray of orders and scans them
+all at once. Orders are checked once, by `_check_orders`, where they
+enter; the scan callbacks here and in the radial solvers then call
+``scipy.special`` directly. All functions are pure and safe to call
+concurrently.
 """
 
 import math
@@ -20,71 +19,17 @@ from ._zeros import ConvergenceError, scan_zeros
 
 __all__ = [
     "ConvergenceError",
-    "bessel_i_scaled_pair",
-    "bessel_j",
-    "bessel_j_deriv",
     "bessel_j_deriv_zero",
-    "bessel_j_pair",
     "bessel_zero",
     "bessel_zeros",
 ]
 
 
-def _check_order_arg(v, x):
-    if not (math.isfinite(v) and math.isfinite(x)):
-        raise ValueError(f"order and argument must be finite, got v={v}, x={x}")
-    if v < 0.0:
-        raise ValueError(f"order must be nonnegative, got {v}")
-    if x < 0.0:
-        raise ValueError(f"argument must be nonnegative, got {x}")
-
-
-def _check_order_args(v, x):
-    """The rules of _check_order_arg, applied to every element of broadcast (v, x)."""
-    ok = np.isfinite(v) & np.isfinite(x) & (v >= 0.0) & (x >= 0.0)
-    if not ok.all():
-        v, x = np.broadcast_arrays(v, x)
-        i = np.flatnonzero(~ok)[0]
-        _check_order_arg(float(v.flat[i]), float(x.flat[i]))
-
-
-def _pair(fn, v, x):
-    """(fn(v, x), fn(v + 1, x)) as floats, or as broadcast arrays when v or x is an ndarray."""
-    if isinstance(v, np.ndarray) or isinstance(x, np.ndarray):
-        _check_order_args(v, x)
-        return fn(v, x), fn(v + 1.0, x)
-    _check_order_arg(v, x)
-    return float(fn(v, x)), float(fn(v + 1.0, x))
-
-
-def bessel_j(v: float, x: float) -> float:
-    """Bessel function of the first kind J_v(x), v >= 0, x >= 0."""
-    _check_order_arg(v, x)
-    return float(special.jv(v, x))
-
-
-def bessel_j_pair(v, x):
-    """(J_v(x), J_{v+1}(x)); elementwise arrays when v or x is an ndarray."""
-    return _pair(special.jv, v, x)
-
-
-def bessel_j_deriv(v: float, x: float) -> float:
-    """dJ_v/dx via J_v'(x) = (v/x) J_v(x) - J_{v+1}(x)."""
-    _check_order_arg(v, x)
-    if x == 0.0:
-        if v == 1.0:
-            return 0.5
-        if v == 0.0 or v > 1.0:
-            return 0.0
-        raise ValueError(f"J_v'(0) diverges for 0 < v < 1 (v={v})")
-    jv, jv1 = bessel_j_pair(v, x)
-    return (v / x) * jv - jv1
-
-
-def bessel_i_scaled_pair(v, x):
-    """(e^-x I_v(x), e^-x I_{v+1}(x)); safe for any finite x >= 0, and
-    elementwise arrays when v or x is an ndarray."""
-    return _pair(special.ive, v, x)
+def _check_orders(orders):
+    """Raise ValueError unless every element of the 1-d float array `orders` is finite and >= 0."""
+    bad = orders[~(np.isfinite(orders) & (orders >= 0.0))]
+    if bad.size:
+        raise ValueError(f"order must be finite and nonnegative, got {bad[0]}")
 
 
 def bessel_zeros(v, kmax=math.inf, bound=math.inf):
@@ -97,7 +42,7 @@ def bessel_zeros(v, kmax=math.inf, bound=math.inf):
     batch and gives one list per order, each equal to that order's call.
     """
     orders = np.ravel(v).astype(float)
-    _check_order_args(orders, 0.0)
+    _check_orders(orders)
     if not kmax >= 1:
         raise ValueError(f"kmax must be >= 1, got {kmax}")
     if not bound >= 0.0 or kmax == bound == math.inf:
@@ -105,12 +50,14 @@ def bessel_zeros(v, kmax=math.inf, bound=math.inf):
     start = np.maximum(0.5, np.sqrt(orders * (orders + 2.0)) - 0.5)
     zeros = scan_zeros(lambda x, r: special.jv(orders[r], x), kmax, start, 0.9,
                        lambda r: f"zero of J_{orders[r]}", bound)
-    for order, zs in zip(orders.tolist(), zeros):
-        for k, z in enumerate(zs, 1):
-            resid = abs(bessel_j(order, z))
-            limit = 1e-10 * max(1.0, abs(bessel_j_deriv(order, z)))
-            if resid >= limit:
-                raise ConvergenceError(f"zero ({order}, {k}) residual {resid:.3e} exceeds {limit:.3e}")
+    nus = np.repeat(orders, [len(zs) for zs in zeros])
+    z = np.array([x for zs in zeros for x in zs])
+    resid = np.abs(special.jv(nus, z))
+    limit = 1e-10 * np.maximum(1.0, np.abs(special.jvp(nus, z)))
+    off = np.flatnonzero(resid >= limit)
+    if off.size:
+        i = off[0]
+        raise ConvergenceError(f"zero {z[i]} of J_{nus[i]}: residual {resid[i]:.3e} exceeds {limit[i]:.3e}")
     return zeros if isinstance(v, np.ndarray) else zeros[0]
 
 
@@ -133,7 +80,6 @@ def bessel_j_deriv_zero(nu: float, k: int) -> float:
     c = 2.0 * nu - 1.0
 
     def f(p, _):
-        jm, jn = bessel_j_pair(nu - 1.0, p)
-        return jm - (c / p) * jn
+        return special.jv(nu - 1.0, p) - (c / p) * special.jv(nu, p)
 
     return scan_zeros(f, k, 0.2, 0.5, lambda _: f"radial Neumann root (nu={nu})")[0][k - 1]

@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from . import specfun
 from .balls import _clamped_roots, clamped_radial_root
@@ -78,15 +79,20 @@ def secular_det(n, a, mu):
 
     `n`, `a` and `mu` broadcast against each other: array input builds
     one stacked (..., 4, 4) matrix and returns the array of determinants;
-    scalar input returns a float.
+    scalar input returns a float. Every element must have a finite n >= 2,
+    0 < a < 1 and a finite mu > 0, or ValueError is raised; these are the
+    only checks the Bessel kernels below get.
     """
     n, a, mu = np.broadcast_arrays(np.asarray(n), np.asarray(a, dtype=float), np.asarray(mu, dtype=float))
+    bad_n = n[~(np.isfinite(n) & (n >= 2))]
+    if bad_n.size:
+        raise ValueError(f"n must be finite and >= 2, got {bad_n[0]}")
     bad_a = a[~((0.0 < a) & (a < 1.0))]
     if bad_a.size:
         raise ValueError(f"a must lie strictly between 0 and 1, got {bad_a[0]}")
-    bad_mu = mu[~(mu > 0.0)]
+    bad_mu = mu[~((mu > 0.0) & np.isfinite(mu))]
     if bad_mu.size:
-        raise ValueError(f"mu must be positive, got {bad_mu[0]}")
+        raise ValueError(f"mu must be finite and positive, got {bad_mu[0]}")
     shape = a.shape
     n, a, mu = n.ravel(), a.ravel(), mu.ravel()
     # columns are pre-scaled by a^nu (resp. b^nu), so the flux row carries
@@ -95,10 +101,10 @@ def secular_det(n, a, mu):
     nu = n / 2.0 - 1.0
     k = mu**0.25
     ka, kb = k * a, k * b
-    ja, ja1 = specfun.bessel_j_pair(nu, ka)
-    ia, ia1 = specfun.bessel_i_scaled_pair(nu, ka)
-    jb, jb1 = specfun.bessel_j_pair(nu, kb)
-    ib, ib1 = specfun.bessel_i_scaled_pair(nu, kb)
+    ja, ja1 = special.jv(nu, ka), special.jv(nu + 1.0, ka)
+    ia, ia1 = special.ive(nu, ka), special.ive(nu + 1.0, ka)
+    jb, jb1 = special.jv(nu, kb), special.jv(nu + 1.0, kb)
+    ib, ib1 = special.ive(nu, kb), special.ive(nu + 1.0, kb)
     rows = np.zeros((4, 4) + ja.shape)  # (row, column, radius)
     rows[0, :2] = ja, ia
     rows[1, 2:] = jb, ib

@@ -4,9 +4,10 @@ import math
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 
-from eigenineq import specfun
+from eigenineq import balls, specfun
 from eigenineq.balls import (
     BallSpec,
     buckling_ball,
@@ -188,3 +189,12 @@ def test_input_validation():
         BallSpec(2, -1.0)
     with pytest.raises(ValueError):
         rectangle_spectrum(1.0, 1.0, ProblemKind.CLAMPED, 2)
+
+
+def test_clamped_roots_check_orders_before_scanning(monkeypatch):
+    def scan(*args, **kwargs):
+        raise AssertionError("scanned a bad order")
+
+    monkeypatch.setattr(balls, "scan_zeros", scan)
+    with pytest.raises(ValueError, match="order"):
+        balls._clamped_roots(np.array([0.0, 1.5, -0.5]), kmax=1)

@@ -349,8 +349,13 @@ class TestSpectrumCommand:
     '{"type": "annulus", "r_inner": 0.5, "r_outer": Infinity}',
     '{"type": "polygon", "vertices": [[0, 0], [1, 0], [0, Infinity]]}',
     '{"type": "polygon", "vertices": [["0", "0"], ["1", "0"], ["0", "1"]]}',
+    '{"type": "disk", "radius": -1.0}',
+    '{"type": "ellipse", "a": 1.0, "b": 0}',
+    '{"type": "rectangle", "width": 0.0, "height": 1.0}',
+    '{"type": "polygon", "vertices": [[0, 0], [1, 1], [2, 2]]}',
+    '{"type": "polygon", "vertices": [[0, 0], [1, 0], [1, 1], [0, 1]], "vertex": [[9, 9]]}',
 ], ids=["disk_string", "disk_inf", "disk_bool", "ellipse_nan", "rectangle_string", "annulus_inf", "polygon_inf",
-        "polygon_string"])
+        "polygon_string", "disk_negative", "ellipse_zero", "rectangle_zero", "polygon_collinear", "polygon_stray_key"])
 @pytest.mark.parametrize("command", ["spectrum", "verify"])
 def test_non_finite_shape_parameter_is_usage_error(tmp_path, capsys, shape, command):
     out = tmp_path / "out"

@@ -1,12 +1,17 @@
-"""Bessel kernels and zeros: independent oracles and invariants."""
+"""Bessel kernels and zeros: independent oracles and invariants.
+
+The value checks run on the ``scipy.special`` kernels (``jv``, ``ive``,
+``jvp``) that the package's scans call directly.
+"""
 
 import math
 
 import mpmath
 import numpy as np
 import pytest
+from scipy import special
 
-from eigenineq import specfun
+from eigenineq import balls, specfun
 
 
 def _series_j0(x):
@@ -31,53 +36,35 @@ def bisect_j0_zero(lo=2.0, hi=3.0):
     return 0.5 * (lo + hi)
 
 
-def test_j_at_zero_argument():
-    assert specfun.bessel_j(0.0, 0.0) == 1.0
-    assert specfun.bessel_j(1.0, 0.0) == 0.0
-
-
 def test_j0_vanishes_at_series_bisection_root():
     root = bisect_j0_zero()
     assert abs(root - 2.404826) < 1e-6
-    assert abs(specfun.bessel_j(0.0, 2.404826)) < 1e-6
+    assert abs(special.jv(0.0, 2.404826)) < 1e-6
 
 
-@pytest.mark.parametrize("bad", [(-1.0, 1.0), (1.0, -0.5), (math.nan, 1.0), (0.0, math.inf)])
+@pytest.mark.parametrize("bad", [(-1.0, 3), (math.nan, 3), (math.inf, 3), (1.0, 0)])
 def test_domain_validation(bad):
+    # three bad orders, then a bad count
     with pytest.raises(ValueError):
-        specfun.bessel_j(*bad)
+        specfun.bessel_zeros(*bad)
 
 
-@pytest.mark.parametrize("pair", [specfun.bessel_j_pair, specfun.bessel_i_scaled_pair])
-def test_array_order_pairs_match_scalar_calls(pair):
-    rng = np.random.default_rng(3)
-    v = rng.integers(0, 7, size=200) / 2.0  # the two-ball orders n/2 - 1, and more
-    x = rng.uniform(0.0, 60.0, size=200)
-    got = pair(v, x)
-    want = np.array([pair(float(vi), float(xi)) for vi, xi in zip(v, x)]).T
-    for g, w in zip(got, want):
-        np.testing.assert_array_equal(g, w)
-    # an order array broadcasts against a scalar argument and vice versa
-    np.testing.assert_array_equal(pair(v, 3.0)[1], [pair(float(vi), 3.0)[1] for vi in v])
-    np.testing.assert_array_equal(pair(np.array([[0.5], [2.0]]), x[:3])[0][1], [pair(2.0, float(xi))[0] for xi in x[:3]])
-
-
-@pytest.mark.parametrize("pair", [specfun.bessel_j_pair, specfun.bessel_i_scaled_pair])
+@pytest.mark.parametrize("entry", [specfun.bessel_zeros, balls._clamped_roots])
 @pytest.mark.parametrize("bad", [-0.5, math.nan, math.inf])
-def test_array_order_pairs_reject_any_bad_order(pair, bad):
+def test_array_order_pairs_reject_any_bad_order(entry, bad):
     with pytest.raises(ValueError, match="order"):
-        pair(np.array([0.0, 1.5, bad, 2.0]), np.array([1.0, 2.0, 3.0, 4.0]))
+        entry(np.array([0.0, 1.5, bad, 2.0]), kmax=1)
     with pytest.raises(ValueError, match="order"):
-        pair(np.array([0.0, bad]), 1.0)
+        entry(bad, kmax=1)
 
 
 def test_recurrence_identity_on_lattice():
     # J_{v+1}(x) = (2v/x) J_v(x) - J_{v-1}(x), relative to the value scale
     for v in (1.0, 1.5, 2.0, 3.0):
         for x in [0.5 * k for k in range(1, 101)]:
-            jm = specfun.bessel_j(v - 1.0, x)
-            jv = specfun.bessel_j(v, x)
-            jp = specfun.bessel_j(v + 1.0, x)
+            jm = special.jv(v - 1.0, x)
+            jv = special.jv(v, x)
+            jp = special.jv(v + 1.0, x)
             scale = max(abs(jm), abs(jv), abs(jp), 1e-3)
             assert abs(jp - (2.0 * v / x) * jv + jm) < 1e-10 * scale
 
@@ -87,15 +74,15 @@ def test_against_mpmath_reference():
     for v in (0.0, 0.5, 1.0, 2.5, 6.0, 11.0):
         for x in (0.3, 2.0, 9.7, 10.3, 25.0, 60.0, 99.5):
             ref = float(mpmath.besselj(v, x))
-            assert abs(specfun.bessel_j(v, x) - ref) <= 1e-12 * max(1.0, abs(ref))
+            assert abs(special.jv(v, x) - ref) <= 1e-12 * max(1.0, abs(ref))
     # both components of each pair, from x = 0 to x well past the order
     for v in (0.0, 0.25, 1.0, 4.5, 13.0):
         for x in (0.0, 0.7, 9.9, 10.1, 35.0, 80.0):
             refs = [float(mpmath.besselj(w, x)) for w in (v, v + 1.0)]
-            for got, ref in zip(specfun.bessel_j_pair(v, x), refs):
+            for got, ref in zip((special.jv(v, x), special.jv(v + 1.0, x)), refs):
                 assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
             refs = [float(mpmath.besseli(w, x) * mpmath.exp(-x)) for w in (v, v + 1.0)]
-            for got, ref in zip(specfun.bessel_i_scaled_pair(v, x), refs):
+            for got, ref in zip((special.ive(v, x), special.ive(v + 1.0, x)), refs):
                 assert abs(got - ref) <= 1e-12 * ref
 
 
@@ -103,7 +90,7 @@ def test_derivative_identities():
     mpmath.mp.dps = 30
     for v, x in [(0.0, 3.1), (1.0, 7.7), (2.5, 14.0)]:
         ref = float(mpmath.besselj(v, x, derivative=1))
-        assert abs(specfun.bessel_j_deriv(v, x) - ref) < 1e-12
+        assert abs(special.jvp(v, x) - ref) < 1e-12
 
 
 def test_zero_values_and_ratio():
@@ -130,14 +117,28 @@ def test_zeros_strictly_increasing_and_interlacing():
 def test_zero_residual_invariant():
     for v in (0.0, 0.5, 2.0, 7.5):
         z = specfun.bessel_zero(v, 3)
-        resid = abs(specfun.bessel_j(v, z))
-        assert resid < 1e-10 * max(1.0, abs(specfun.bessel_j_deriv(v, z)))
+        resid = abs(special.jv(v, z))
+        assert resid < 1e-10 * max(1.0, abs(special.jvp(v, z)))
+
+
+def test_zero_residual_gate_rejects_an_off_root(monkeypatch):
+    # one root of the batch nudged off its zero fails the vectorized gate
+    scan = specfun.scan_zeros
+
+    def nudged(*args, **kwargs):
+        zeros = scan(*args, **kwargs)
+        zeros[1][2] += 1e-6
+        return zeros
+
+    monkeypatch.setattr(specfun, "scan_zeros", nudged)
+    with pytest.raises(specfun.ConvergenceError, match="residual"):
+        specfun.bessel_zeros(np.array([0.0, 1.5, 4.0]), kmax=4)
 
 
 def test_deriv_zero_n2_matches_bisection_of_j1_prime():
     # J_1'(x) = J_0(x) - J_1(x)/x; bisect it independently on [1.5, 2.5]
     def j1p(x):
-        return specfun.bessel_j(0.0, x) - specfun.bessel_j(1.0, x) / x
+        return special.jv(0.0, x) - special.jv(1.0, x) / x
 
     lo, hi = 1.5, 2.5
     flo = j1p(lo)

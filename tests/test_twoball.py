@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import special
 
 from eigenineq import specfun, twoball
 from eigenineq.balls import BallSpec, clamped_ball, clamped_radial_root
@@ -138,6 +139,9 @@ def test_input_validation():
         secular_det(2, 0.5, -1.0)
     with pytest.raises(ValueError):
         d_constant(1)
+    for n, mu in [(1, 10.0), (np.inf, 10.0), (np.nan, 10.0), (3, np.inf)]:
+        with pytest.raises(ValueError):
+            secular_det(n, 0.5, mu)
 
 
 def _scalar_secular_det(n, a, mu):
@@ -145,10 +149,10 @@ def _scalar_secular_det(n, a, mu):
     b = (1.0 - a**n) ** (1.0 / n)
     nu = n / 2.0 - 1.0
     k = mu**0.25
-    ja, ja1 = specfun.bessel_j_pair(nu, k * a)
-    ia, ia1 = specfun.bessel_i_scaled_pair(nu, k * a)
-    jb, jb1 = specfun.bessel_j_pair(nu, k * b)
-    ib, ib1 = specfun.bessel_i_scaled_pair(nu, k * b)
+    ja, ja1 = float(special.jv(nu, k * a)), float(special.jv(nu + 1.0, k * a))
+    ia, ia1 = float(special.ive(nu, k * a)), float(special.ive(nu + 1.0, k * a))
+    jb, jb1 = float(special.jv(nu, k * b)), float(special.jv(nu + 1.0, k * b))
+    ib, ib1 = float(special.ive(nu, k * b)), float(special.ive(nu + 1.0, k * b))
     ah, bh = a ** (n - 1.0), b ** (n - 1.0)
     rows = np.array(
         [
