@@ -1,8 +1,8 @@
 """Zeros of Bessel functions of the first kind.
 
 Zeros come from the package's one root finder, the lockstep scan plus
-bisection to float resolution of ``_zeros.scan_zeros``, which, unlike
-``scipy.special.jn_zeros``, handles the half-integer orders of odd
+ITP refinement to float resolution of ``_zeros.scan_zeros``, which,
+unlike ``scipy.special.jn_zeros``, handles the half-integer orders of odd
 dimensions. ``bessel_zeros`` takes an ndarray of orders and scans them
 all at once. Orders are checked once, by `_check_orders`, where they
 enter; the scan callbacks here and in the radial solvers then call

@@ -124,9 +124,9 @@ def _J_many(n, a, k0) -> np.ndarray:
     Near-degenerate endpoints (min(a, b) < 1e-3) take the analytic
     endpoint value k0^4. Every other radius is one row of a `scan_zeros`
     batch in k = mu^(1/4): the scan runs from 0.5 k0 in steps of k0/50
-    up to 2 k0, and its first sign change is bisected until the bracket
-    width is at most 2.5e-10 of its lower end, i.e. 1e-9 relative in mu.
-    Radii whose scan finds no sign change get NaN.
+    up to 2 k0, and its first sign change is refined to float resolution
+    in k, like every other radial root. Radii whose scan finds no sign
+    change get NaN.
     """
     n, a, k0 = np.broadcast_arrays(np.asarray(n), np.asarray(a, dtype=float), np.asarray(k0, dtype=float))
     shape = a.shape
@@ -137,7 +137,7 @@ def _J_many(n, a, k0) -> np.ndarray:
     scan = ~endpoint
     n, a, k0 = n[scan], a[scan], k0[scan]
     ks = scan_zeros(lambda k, r: secular_det(n[r], a[r], k**4), 1, 0.5 * k0, k0 / 50.0,
-                    lambda r: f"two-ball root for n={n[r]}, a={a[r]}", bound=2.0 * k0, rtol=2.5e-10)
+                    lambda r: f"two-ball root for n={n[r]}, a={a[r]}", bound=2.0 * k0)
     out[scan] = np.array([k[0] if k else np.nan for k in ks]) ** 4
     return out.reshape(shape)
 
@@ -147,10 +147,10 @@ def J_of_a(n: int, a: float) -> float:
     under the |Omega| = C_n normalization.
 
     A one-radius call of the batched solver `_J_many`: scan in k =
-    mu^(1/4) with step k0/50 from 0.5 k0 to 2 k0, bisection of the first
-    sign change to 1e-9 relative in mu, and the analytic endpoint value
-    when min(a, b) < 1e-3. Raises ConvergenceError when the scan finds no
-    sign change.
+    mu^(1/4) with step k0/50 from 0.5 k0 to 2 k0, ITP refinement of the
+    first sign change to float resolution in k, and the analytic endpoint
+    value when min(a, b) < 1e-3. Raises ConvergenceError when the scan
+    finds no sign change.
     """
     if not (0.0 <= a <= 1.0):
         raise ValueError(f"a must lie in [0, 1], got {a}")
@@ -190,8 +190,9 @@ def d_constants(ns) -> dict[int, DConstantResult]:
     slope scale. Interior grid minima are then refined by zooming, all n
     in lockstep: each round solves 16 evenly spaced interior points of
     every bracket at once and keeps the neighbours of the smallest value;
-    an n drops out once its bracket is narrower than 1e-6 in t. An
-    endpoint minimum is the ball value itself.
+    an n drops out once its bracket is narrower than 1e-6 in t. d_n is the
+    smallest J the grid or any round evaluated. An endpoint minimum is
+    the ball value itself.
 
     When some n fail, the ConvergenceError of the smallest of them is
     raised: the one that solving the n one at a time, in increasing
@@ -238,7 +239,8 @@ def d_constants(ns) -> dict[int, DConstantResult]:
                 continue
             fs = np.concatenate(([zoom[n][2]], inner[n], [zoom[n][3]]))
             j = int(np.argmin(fs))
-            best[n] = float(xs[n][j]), float(fs[j])
+            if fs[j] < best[n][1]:  # round 1 does not re-solve the grid minimum
+                best[n] = float(xs[n][j]), float(fs[j])
             lo, hi = max(j - 1, 0), min(j + 1, len(fs) - 1)
             zoom[n] = xs[n][lo], xs[n][hi], fs[lo], fs[hi]
     if errors:

@@ -198,3 +198,24 @@ def test_clamped_roots_check_orders_before_scanning(monkeypatch):
     monkeypatch.setattr(balls, "scan_zeros", scan)
     with pytest.raises(ValueError, match="order"):
         balls._clamped_roots(np.array([0.0, 1.5, -0.5]), kmax=1)
+
+
+def test_cold_ball_spectra_take_few_root_function_calls(monkeypatch):
+    # n = 2..8 with Dirichlet 12, clamped 9, buckling 9 and mu_1 from empty
+    # caches: the scans plus about 10 ITP steps per root, where bisection
+    # took about 50
+    calls = []
+    real = balls.scan_zeros
+
+    def counting(f, *args, **kwargs):
+        return real(lambda x, r: calls.append(1) or f(x, r), *args, **kwargs)
+
+    monkeypatch.setattr(balls, "scan_zeros", counting)
+    monkeypatch.setattr(specfun, "scan_zeros", counting)
+    balls._unit_roots.cache_clear()
+    for n in range(2, 9):
+        spec = BallSpec(n)
+        for spectrum, count in ((dirichlet_ball, 12), (clamped_ball, 9), (buckling_ball, 9)):
+            spectrum(spec, count)
+        neumann_ball_mu1(spec)
+    assert 0 < len(calls) <= 1_600

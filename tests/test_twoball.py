@@ -24,14 +24,16 @@ from eigenineq.twoball import (
     secular_det,
 )
 
-# full-precision d_n from a scalar solver (one radius at a time, golden
-# section for the minimum); the batched zoom must land on the same values
+# d_n with every root at float resolution. The minimum sits at t = 1/2,
+# where J is the single-ball mode (j_{n/2-1,1} / a)^4 with a^n = 1/2, so
+# d_n = 2^(4/n) (j_{n/2-1,1} / k0)^4; mpmath evaluates that to within 5e-16
+# of these values
 PINNED_D = {
-    4: 0.9537969517761561,
-    5: 0.9218448809321084,
-    6: 0.9077783973811031,
-    7: 0.901812062749684,
-    8: 0.8998913004582276,
+    4: 0.9537969515953614,
+    5: 0.9218448809134066,
+    6: 0.9077783974601962,
+    7: 0.9018120627554547,
+    8: 0.8998913003974186,
 }
 
 
@@ -222,8 +224,27 @@ def test_no_sign_change_is_reported(monkeypatch, tmp_path):
 def test_d_constants_pinned():
     for n, ref in PINNED_D.items():
         res = d_constant(n)
-        assert res.d_n == pytest.approx(ref, rel=1e-10, abs=0.0)
-        assert abs(res.minimizer_t - 0.5) < 1e-4
+        assert res.d_n == pytest.approx(ref, rel=1e-12, abs=0.0)
+        assert abs(res.minimizer_t - 0.5) < 1e-6
+
+
+def test_zoom_returns_the_smallest_J_it_evaluated(monkeypatch):
+    # the t-grid holds t = 1/2, the exact minimizer, and no zoom point
+    # after it may displace it with a larger value
+    seen = []
+    real = twoball._J_many
+
+    def recording(n, a, k0):
+        js = real(n, a, k0)
+        seen.append((np.broadcast_to(n, js.shape), js))
+        return js
+
+    monkeypatch.setattr(twoball, "_J_many", recording)
+    batch = d_constants(range(4, 9))
+    ns = np.concatenate([np.ravel(n) for n, _ in seen])
+    js = np.concatenate([np.ravel(j) for _, j in seen])
+    for n, res in batch.items():
+        assert (js[ns == n] / res.ball_value >= res.d_n).all()
 
 
 def test_array_n_det_matches_scalar_loop_bitwise():
@@ -247,7 +268,7 @@ def test_batch_equals_one_dimension_at_a_time():
     for n, res in batch.items():
         assert res == d_constant(n)
     for n, ref in PINNED_D.items():
-        assert batch[n].d_n == pytest.approx(ref, rel=1e-10, abs=0.0)
+        assert batch[n].d_n == pytest.approx(ref, rel=1e-12, abs=0.0)
     with pytest.raises(ValueError):
         d_constants([4, 1, 6])
     assert d_constants([]) == {}
@@ -283,12 +304,28 @@ def test_batch_raises_the_first_failure_of_a_loop_over_n(monkeypatch, tmp_path):
 
 
 def test_constants_solves_all_n_in_few_determinant_calls(monkeypatch, tmp_path):
-    # all n share one lockstep batch: about 320 stacked determinants
+    # all n share one lockstep batch of about 220 stacked determinants, and
+    # ITP takes about 10 determinants per root where bisection took 30
     calls = []
     real = twoball.secular_det
-    monkeypatch.setattr(twoball, "secular_det", lambda n, a, mu: calls.append(1) or real(n, a, mu))
+
+    def counting(n, a, mu):
+        calls.append(np.broadcast(n, a, mu).size)
+        return real(n, a, mu)
+
+    monkeypatch.setattr(twoball, "secular_det", counting)
     assert run_constants(range(2, 9), str(tmp_path)) == 0
-    assert 0 < len(calls) <= 400
+    assert 0 < len(calls) <= 290
+    assert sum(calls) <= 31_000
+
+
+def test_two_ball_root_is_bracketed_within_four_ulps():
+    # the scan variable is k = mu^(1/4), and every root is refined to float resolution
+    k = J_of_a(4, 0.6) ** 0.25
+    lo, hi = k, k
+    for _ in range(4):
+        lo, hi = np.nextafter(lo, 0.0), np.nextafter(hi, np.inf)
+    assert secular_det(4, 0.6, lo**4) * secular_det(4, 0.6, hi**4) < 0.0
 
 
 def test_cli_start_does_not_import_scipy_optimize():
