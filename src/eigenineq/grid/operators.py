@@ -5,8 +5,15 @@ to the mask. With ax, ay the box's x- and y-link matrices
 (`GridDomain.links`), R the restriction to interior rows and columns
 (`GridDomain.restrict`) and adj = R(ax + ay) (`GridDomain.adjacency`):
 
-- Dirichlet: (4 I - adj) / h^2, the 5-point Laplacian with zero
-  exterior values.
+- Dirichlet: (diag(d) - adj) / h^2 with d = `GridDomain.dirichlet_diagonal`,
+  the 5-point Laplacian closed by the symmetric ghost-fluid rule (Gibou,
+  Fedkiw, Cheng & Kang, J. Comput. Phys. 176, 2002): a link that the
+  boundary cuts at theta h adds 1/theta to its node's diagonal, as if
+  u vanished at the crossing, instead of 1. Only the diagonal differs
+  from the staircase (4 I - adj) / h^2, which zeroes u on the exterior
+  nodes, so the sparsity pattern is the same; the eigenvalues are O(h^2)
+  accurate where the staircase's are O(h). Lattice-aligned edges have
+  theta = 1 and keep d = 4 exactly.
 - Neumann: (diag(adj 1) - adj) / h^2, ghosts mirrored across each
   boundary face (zero normal derivative): the graph Laplacian of the mask.
 - Clamped: (R(L^2) + 2 diag(G) - G) / h^4, the 13-point bi-Laplacian.
@@ -16,14 +23,14 @@ to the mask. With ax, ay the box's x- and y-link matrices
   reflected onto the centre (w_ghost = w_interior), so a distance-2 link
   through an exterior mid-node is dropped and each end's diagonal gains 1.
 
-All three are exactly symmetric. The buckling problem is the pair
-(clamped bi-Laplacian, Dirichlet Laplacian) on the same interior space;
-`buckling` is the one place that pairs them.
+All three are exactly symmetric. Neumann and clamped close the boundary
+on the staircase and stay O(h) on curved boundaries. The buckling
+problem is the pair (clamped bi-Laplacian, Dirichlet Laplacian) on the
+same interior space; `buckling` is the one place that pairs them.
 """
 
 from dataclasses import dataclass
 
-import numpy as np
 from scipy import sparse
 
 from ..spectra import ProblemKind
@@ -46,9 +53,9 @@ class DiscreteOperator:
 
 
 def _laplacian(domain, neumann):
-    """(4 I - adj) / h^2, or (diag(adj 1) - adj) / h^2 for Neumann."""
+    """(diag(dirichlet_diagonal) - adj) / h^2, or (diag(adj 1) - adj) / h^2 for Neumann."""
     adj = domain.adjacency
-    diag = adj.sum(axis=1).A1 if neumann else np.full(domain.node_count, 4.0)
+    diag = adj.sum(axis=1).A1 if neumann else domain.dirichlet_diagonal
     return (sparse.diags(diag) - adj) * (1.0 / domain.h**2)
 
 

@@ -46,8 +46,16 @@ class SolverError(RuntimeError):
     """Eigensolver failed to converge or verify; carries attained residuals."""
 
 
-def _operator_scale(matrix):
-    return float(np.abs(matrix.diagonal()).max())
+def _operator_scale(op):
+    """The stencil's diagonal at a node whose four neighbours are interior: 4/h^2, or 20/h^4 for a plate.
+
+    The residual gate is relative to this bulk value. A Dirichlet link cut
+    at theta h puts 1/theta on its node's diagonal, so max |diag| would
+    loosen the gate by that factor.
+    """
+    if op.kind in (ProblemKind.CLAMPED, ProblemKind.BUCKLING):
+        return 20.0 / op.h**4
+    return 4.0 / op.h**2
 
 
 def _factor_spd(matrix):
@@ -60,7 +68,8 @@ def smallest_eigs(op: DiscreteOperator, m: int, factors: dict | None = None) -> 
     """The m smallest eigenvalues of the (generalized) discrete problem.
 
     Every returned pair is residual-checked against
-    ||A x - theta B x|| <= 1e-8 * scale(A) * ||x||.
+    ||A x - theta B x|| <= 1e-8 * scale(A) * ||x||, scale(A) the bulk
+    stencil's diagonal (`_operator_scale`).
 
     ``factors`` memoizes factors by (id(op.matrix), shift) for operators
     sharing a matrix; the caller keeps those matrices alive meanwhile.
@@ -93,7 +102,7 @@ def smallest_eigs(op: DiscreteOperator, m: int, factors: dict | None = None) -> 
     order = np.argsort(vals)
     vals = vals[order]
     vecs = vecs[:, order]
-    scale = _operator_scale(op.matrix)
+    scale = _operator_scale(op)
     resid = []
     for i in range(m):
         x = vecs[:, i]

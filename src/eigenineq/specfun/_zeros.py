@@ -32,7 +32,8 @@ def scan_zeros(f, kmax, start, step, what, bound=np.inf):
     takes an array of points with the array of their rows. Row r scans
     from start[r] in step[r] increments and stops after kmax roots or
     once it passes bound[r]; roots above bound[r] are dropped. A scan
-    point where f vanishes is a root as it stands; every other sign
+    point where f vanishes, start[r] included, is a root as it stands,
+    counted once whatever the sign of f after it; every other sign
     change is refined by ITP steps, which reuse the f values at the
     bracket ends, until hi - lo <= 4.5e-16 lo (the ends two floats
     apart) or f vanishes at an iterate, and the midpoint is the root. A
@@ -43,10 +44,11 @@ def scan_zeros(f, kmax, start, step, what, bound=np.inf):
     if not start.size:
         return []
     rows = np.arange(start.size)
-    found = np.zeros(start.size, dtype=int)
     s, ds, b = start, step, bound  # of the rows still scanning
     fs = f(s, rows)
-    steps = [(rows[:0], s[:0], s[:0], fs[:0], fs[:0], fs[:0] < 0.0)]  # per step: rows, s, t, f(s), f(t), hit
+    hit = fs == 0.0  # a zero at start is the bracket [start, start]
+    steps = [(rows, s, s, fs, fs, hit)]  # per step: rows, s, t, f(s), f(t), hit
+    found = hit.astype(int)
     for j in range(10001):
         live = (found < kmax) & (s <= b)
         if not live.all():
@@ -57,7 +59,8 @@ def scan_zeros(f, kmax, start, step, what, bound=np.inf):
             raise ConvergenceError(f"scan for {what(rows[0])} took 10000 steps and found {found[0]} roots")
         t = s + ds
         ft = f(t, rows)
-        hit = (ft == 0.0) | ((fs < 0.0) != (ft < 0.0))
+        # a zero at s was counted when the scan reached it, so it opens no second bracket
+        hit = (ft == 0.0) | (((fs < 0.0) != (ft < 0.0)) & (fs != 0.0))
         steps.append((rows, s, t, fs, ft, hit))
         found += hit
         s, fs = t, ft

@@ -110,9 +110,10 @@ def test_criterion_5_grid_convergence():
     ref = sorted(discrete(p, q) for p in range(1, 6) for q in range(1, 6))[:10]
     square_err = max(abs(a - b) / b for a, b in zip(sq.values, ref))
 
-    ok = (lam1_err < 0.005 and gamma_err < 0.03 and square_err < 1e-9
+    # disk lambda1 measured at 1.72e-7 with the cut-link Dirichlet closure; 1e-6 leaves a 5.8x margin
+    ok = (lam1_err < 1e-6 and gamma_err < 0.03 and square_err < 1e-9
           and max(timings.values()) < 60.0)
-    _report(5, ok, f"disk lambda1 rel {lam1_err:.2e} (<5e-3), disk Gamma1 rel {gamma_err:.2e} (<3e-2), "
+    _report(5, ok, f"disk lambda1 rel {lam1_err:.2e} (<1e-6), disk Gamma1 rel {gamma_err:.2e} (<3e-2), "
                    f"square vs discrete closed form {square_err:.2e} (<1e-9), "
                    f"slowest solve {max(timings.values()):.1f}s (<60s)")
 

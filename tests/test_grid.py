@@ -13,7 +13,7 @@ import scipy.linalg
 from scipy import sparse
 
 from eigenineq import specfun
-from eigenineq.balls import BallSpec, buckling_ball, clamped_ball, dirichlet_ball
+from eigenineq.balls import BallSpec, buckling_ball, clamped_ball, dirichlet_ball, rectangle_spectrum
 from eigenineq.grid import (
     Annulus,
     Disk,
@@ -32,7 +32,11 @@ from eigenineq.grid import (
     smallest_eigs,
     solve_shape,
 )
+from eigenineq.grid import solve as solve_module
+from eigenineq.grid.domain import _THETA_MIN
 from eigenineq.spectra import ProblemKind, Provenance
+
+from conftest import CORPUS
 
 
 def discrete_square_eig(h, p, q):
@@ -145,6 +149,50 @@ class TestAssembly:
         assert np.all(np.linalg.eigvalsh(op.matrix.toarray()) > 0.0)
         cl = assemble(rasterize(Disk(1.0), 1.0 / 8.0), ProblemKind.CLAMPED)
         assert np.all(np.linalg.eigvalsh(cl.matrix.toarray()) > 0.0)
+
+
+class TestCutLinks:
+    @pytest.mark.parametrize("h", [1.0 / 32.0, 1.0 / 64.0])
+    @pytest.mark.parametrize("shape", [Rectangle(1.0, 1.0), LShape(0.5, 0.5)], ids=["unit_square", "l_shape"])
+    def test_lattice_aligned_shapes_keep_the_staircase_matrix(self, shape, h):
+        d = rasterize(shape, h)
+        got = assemble(d, ProblemKind.DIRICHLET).matrix
+        want = ((4.0 * sparse.identity(d.node_count) - d.adjacency) / h**2).tocsr()
+        assert np.array_equal(got.indptr, want.indptr) and np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.data, want.data)
+
+    def test_disk_node_theta_is_its_distance_to_the_circle(self):
+        # the node (15 h, 0) of a radius-0.95 disk at h = 1/16 has three
+        # whole links and one cut at theta = (R - x) / h = 0.2
+        r, h = 0.95, 1.0 / 16.0
+        d = rasterize(Disk(r), h)
+        xs, ys = d.node_coordinates()
+        k = int(np.argmin(np.hypot(xs - 15 * h, ys)))
+        theta = (r - 15 * h) / h
+        assert d.dirichlet_diagonal[k] == pytest.approx(3.0 + 1.0 / theta, rel=1e-12)
+        assert assemble(d, ProblemKind.DIRICHLET).matrix[k, k] == pytest.approx((3.0 + 1.0 / theta) / h**2, rel=1e-12)
+
+    def test_theta_floor_caps_a_node_next_to_the_boundary(self):
+        # the edge x = 1 + 1e-9 cuts the links from the nodes at x = 1 at theta = 1.6e-8
+        d = rasterize(Rectangle(1.0 + 1e-9, 1.0), 1.0 / 16.0)
+        assert d.dirichlet_diagonal.max() == pytest.approx(3.0 + 1.0 / _THETA_MIN, rel=1e-12)
+
+    def test_residual_gate_scale_is_the_bulk_stencil(self, monkeypatch):
+        h = 1.0 / 64.0
+        op = assemble(rasterize(Disk(1.0), h), ProblemKind.DIRICHLET)
+        bulk = 4.0 / h**2
+        assert solve_module._operator_scale(op) == bulk
+        assert op.matrix.diagonal().max() > 10.0 * bulk
+        # eigenvalues off by 3x the gate: a max |diag| scale would pass them
+        real = solve_module.eigsh
+
+        def off(*args, **kwargs):
+            vals, vecs = real(*args, **kwargs)
+            return vals + 3e-8 * bulk, vecs
+
+        monkeypatch.setattr(solve_module, "eigsh", off)
+        with pytest.raises(SolverError, match="residual"):
+            smallest_eigs(op, 2)
 
 
 _AXES = ((1, 0), (-1, 0), (0, 1), (0, -1))
@@ -309,8 +357,6 @@ _VERIFY_M = {ProblemKind.DIRICHLET: 11, ProblemKind.NEUMANN: 11, ProblemKind.CLA
 
 class TestSolveShape:
     def test_one_rasterization_and_three_factors_per_level(self, monkeypatch):
-        from eigenineq.grid import solve as solve_module
-
         calls = {"rasterize": 0, "assemble": 0, "_factor_spd": 0}
 
         def counted(name):
@@ -331,8 +377,6 @@ class TestSolveShape:
         assert calls == {"rasterize": 2, "assemble": 6, "_factor_spd": 6}
 
     def test_shift_invert_solve_count(self, monkeypatch):
-        from eigenineq.grid import solve as solve_module
-
         solves = []
         real = solve_module._factor_spd
 
@@ -353,8 +397,6 @@ class TestSolveShape:
     @pytest.mark.parametrize(("shape", "h"), [(Disk(1.0), 1.0 / 32.0), (LShape(0.5, 0.5), 1.0 / 16.0)],
                              ids=["disk", "l_shape"])
     def test_arpack_tolerance_leaves_extrapolation_at_round_off(self, monkeypatch, shape, h):
-        from eigenineq.grid import solve as solve_module
-
         stopped = solve_shape(shape, _VERIFY_M, h, 2)
         monkeypatch.setattr(solve_module, "_ARPACK_TOL", 0.0)
         converged = solve_shape(shape, _VERIFY_M, h, 2)
@@ -366,6 +408,30 @@ class TestSolveShape:
         solved = solve_shape(LShape(0.5, 0.5), _FOUR, 1.0 / 16.0, 2)
         for kind, m in _FOUR.items():
             assert solved[kind] == solve_shape(LShape(0.5, 0.5), {kind: m}, 1.0 / 16.0, 2)[kind]
+
+
+# closed-form Dirichlet spectra of the swept corpus shapes (the ellipse has none)
+_SWEEP_EXACT = {
+    "disk": lambda m: dirichlet_ball(BallSpec(2), m),
+    "ellipse_2to1": None,
+    "rect_2to1": lambda m: rectangle_spectrum(math.sqrt(2.0), math.sqrt(2.0) / 2.0, ProblemKind.DIRICHLET, m),
+    "rect_sqrt8_sqrt3": lambda m: rectangle_spectrum(math.sqrt(8.0), math.sqrt(3.0), ProblemKind.DIRICHLET, m),
+}
+
+
+@pytest.mark.parametrize("h0", [1.0 / 16.0, 1.0 / 24.0, 1.0 / 32.0], ids=["h16", "h24", "h32"])
+@pytest.mark.parametrize("name", list(_SWEEP_EXACT))
+def test_dirichlet_sweep_is_second_order_and_within_its_allowance(name, h0):
+    # three levels h0, h0/2, h0/4 on the off-lattice corpus shapes
+    m = _VERIFY_M[ProblemKind.DIRICHLET]
+    levels, ext = solve_shape(CORPUS[name], {ProblemKind.DIRICHLET: m}, h0, 3)[ProblemKind.DIRICHLET]
+    lam1 = [s.values[0] for s in levels]
+    order = math.log2((lam1[0] - lam1[1]) / (lam1[1] - lam1[2]))
+    assert 1.8 <= order <= 2.2
+    if _SWEEP_EXACT[name] is not None:
+        exact = np.array(_SWEEP_EXACT[name](m).values)
+        err = np.abs(np.array(ext.values) - exact) / exact
+        assert np.all(err <= 2.0 * ext.allowance)
 
 
 class TestRayleighQuotient:

@@ -85,6 +85,15 @@ def test_exact_zeros_are_returned_exactly():
     assert seen.count(1.25) == 1 and seen.count(2.0) == 1  # neither is bisected further
 
 
+@pytest.mark.parametrize("sign", [-1.0, 1.0], ids=["falling", "rising"])
+@pytest.mark.parametrize("start", [0.5, 2.0], ids=["on_a_scan_point", "at_start"])
+def test_a_zero_on_a_scan_point_is_one_root(sign, start):
+    # 2 - x vanishes on a scan point and is negative at the next one: the
+    # zero must not open a second bracket there, and a zero at start
+    # counts whichever sign follows it
+    assert scan_zeros(lambda x, r: sign * (x - 2.0), 2, start, 0.5, _name, bound=10.0) == [[2.0]]
+
+
 def test_scan_step_guard_raises():
     with pytest.raises(ConvergenceError, match="scan for row 1 took 10000 steps and found 0 roots"):
         scan_zeros(lambda x, r: np.where(r == 0, np.sin(x), 1.0), 1, [0.5, 0.5], 0.1, _name)
