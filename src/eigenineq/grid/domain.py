@@ -13,6 +13,14 @@ more than its `contains`. Each node's Dirichlet diagonal, the sum over
 its four links of 1 (or 1/theta for a cut link), is the symmetric
 ghost-fluid closure (Gibou, Fedkiw, Cheng & Kang, J. Comput. Phys. 176,
 2002), second order in h where the staircase mask alone is first order.
+
+The Neumann problem lives on cut cells instead (`CellGeometry`): every
+node whose dual cell [x +- h/2] x [y +- h/2] meets the shape, with the
+cell's inside area fraction and the inside fraction (aperture) of each
+dual edge, found by the same bisection along the dual edges. This
+geometry is computed on first use (`GridDomain.cells`), so runs with no
+Neumann problem never pay for it; `rasterize` only sizes the lattice box
+to hold every such node.
 """
 
 import math
@@ -241,9 +249,15 @@ class GridDomain:
     domain built from a bare mask has no boundary to locate and gets 4
     everywhere, the staircase closure with zero values on the exterior
     nodes.
+
+    ``cells`` is the Neumann cut-cell geometry on the padded box
+    (`CellGeometry`), computed from ``shape`` on first use, so a domain
+    that never assembles a Neumann operator never pays for it. A domain
+    with no shape (a bare mask) gets fraction 1 on the mask nodes and
+    aperture 1 on the links between them, the mask's graph Laplacian.
     """
 
-    def __init__(self, mask, h, area_exact, label, x0, y0, dirichlet_diagonal=None):
+    def __init__(self, mask, h, area_exact, label, x0, y0, dirichlet_diagonal=None, shape=None):
         self.mask = np.asarray(mask, dtype=bool)
         self.h = float(h)
         self.area_exact = float(area_exact)
@@ -259,10 +273,25 @@ class GridDomain:
         self.links = (sparse.kron(_path(nx), sparse.identity(ny), format="csr"),
                       sparse.kron(sparse.identity(nx), _path(ny), format="csr"))
         self.adjacency = self.restrict(sum(self.links))
+        self.shape = shape
+        self._cells = None
 
     def restrict(self, matrix):
         """Rows and columns of a padded-box matrix at the interior nodes, in mask order."""
         return matrix[self.padded][:, self.padded]
+
+    @property
+    def cells(self):
+        """The `CellGeometry` of the padded box: from ``shape``, or from the mask alone; computed once."""
+        if self._cells is None:
+            inside = np.pad(self.mask, 1)
+            if self.shape is None:
+                self._cells = CellGeometry(inside.astype(float), (inside[:-1] & inside[1:]).astype(float),
+                                           (inside[:, :-1] & inside[:, 1:]).astype(float))
+            else:
+                self._cells = _cell_geometry(self.shape, round(self.x0 / self.h) - 1,
+                                             round(self.y0 / self.h) - 1, inside.shape, self.h)
+        return self._cells
 
     def node_coordinates(self):
         """ (x, y) arrays of the interior nodes, in mask (row-major) order."""
@@ -330,11 +359,90 @@ def _dirichlet_diagonal(shape, mask, i_lo, j_lo, h):
     return diagonal[mask]
 
 
+@dataclass(frozen=True)
+class CellGeometry:
+    """Cut-cell finite-volume data on a lattice box, in units of h.
+
+    ``fraction[p, q]`` is the inside area fraction of node (p, q)'s dual
+    cell [x - h/2, x + h/2] x [y - h/2, y + h/2]; the Neumann nodes are
+    those with fraction > 0. ``aperture_x[p, q]`` is the inside fraction
+    of the dual edge that the link (p, q) - (p + 1, q) crosses, and
+    ``aperture_y[p, q]`` that of the link (p, q) - (p, q + 1).
+    """
+
+    fraction: np.ndarray
+    aperture_x: np.ndarray
+    aperture_y: np.ndarray
+
+
+def _dual_edges(shape, lo, hi, i, j, di, dj, h):
+    """Inside fraction of each dual edge from corner (i, j) to (i + di, j + dj), and its crossing's offset from (i, j).
+
+    ``lo`` and ``hi`` say which ends are inside the shape. Where they
+    differ, `_cut_fractions` bisects from the inside end toward the
+    outside one; the offset is meaningful only there. The samples
+    (i + t di) h resolve a crossing only to the float spacing at its
+    coordinate, about 4e-15 of an edge near x = 1 at h = 1/32, so the
+    fraction is rounded to 12 decimals: a boundary halfway along an
+    edge, as on a lattice-aligned side, then gives exactly 1/2.
+    """
+    cut = lo != hi
+    flip = hi[cut]  # the inside end is (i + di, j + dj): bisect backwards from it
+    theta = np.round(_cut_fractions(shape, i[cut] + flip * di, j[cut] + flip * dj,
+                                    np.where(flip, -di, di), np.where(flip, -dj, dj), h), 12)
+    aperture = (lo & hi).astype(float)
+    aperture[cut] = theta
+    offset = np.zeros(cut.shape)
+    offset[cut] = np.where(flip, 1.0 - theta, theta)
+    return aperture, cut, offset
+
+
+def _cell_geometry(shape, i0, j0, box, h):
+    """`CellGeometry` of the nodes of the lattice box of shape ``box`` whose first node is (i0, j0).
+
+    `shape.contains` is sampled at the dual-cell corners ((i0 + a - 1/2) h,
+    (j0 + b - 1/2) h), and the boundary is located on every dual edge
+    whose two corners differ (`_dual_edges`). A cell's fraction is the
+    shoelace area of its inside corners and crossings, walked
+    counter-clockwise; a cell cut by a curve loses the segment between
+    the curve and its chord.
+    """
+    nx, ny = box
+    ci = np.arange(nx + 1)[:, None] + (i0 - 0.5)  # half-integers, exact in floating point
+    cj = np.arange(ny + 1)[None, :] + (j0 - 0.5)
+    ci, cj = np.broadcast_arrays(ci, cj)
+    corner = shape.contains(ci * h, cj * h)
+    # dual edges along x (corner (a, b) to (a + 1, b)) and along y ((a, b) to (a, b + 1))
+    ap_h, cut_h, off_h = _dual_edges(shape, corner[:-1], corner[1:], ci[:-1], cj[:-1], 1, 0, h)
+    ap_v, cut_v, off_v = _dual_edges(shape, corner[:, :-1], corner[:, 1:], ci[:, :-1], cj[:, :-1], 0, 1, h)
+    quad = (corner[:-1, :-1], corner[1:, :-1], corner[1:, 1:], corner[:-1, 1:])  # counter-clockwise
+    inside = sum(c.astype(int) for c in quad)
+    fraction = (inside == 4).astype(float)
+    part = (inside > 0) & (inside < 4)
+    # the eight candidate vertices of each cut cell, counter-clockwise from its lower-left corner
+    lo, hi = np.full(part.sum(), -0.5), np.full(part.sum(), 0.5)
+    x = np.stack([lo, off_h[:, :-1][part] - 0.5, hi, hi, hi, off_h[:, 1:][part] - 0.5, lo, lo], axis=-1)
+    y = np.stack([lo, lo, lo, off_v[1:][part] - 0.5, hi, hi, hi, off_v[:-1][part] - 0.5], axis=-1)
+    valid = np.stack([quad[0][part], cut_h[:, :-1][part], quad[1][part], cut_v[1:][part],
+                      quad[2][part], cut_h[:, 1:][part], quad[3][part], cut_v[:-1][part]], axis=-1)
+    # repeat each missing vertex as the next one present: a zero-length edge adds nothing
+    slot = np.arange(8)
+    nxt = np.minimum.accumulate(np.where(valid, slot, 8)[:, ::-1], axis=-1)[:, ::-1]
+    nxt = np.where(nxt == 8, np.argmax(valid, axis=-1)[:, None], nxt)
+    x, y = np.take_along_axis(x, nxt, -1), np.take_along_axis(y, nxt, -1)
+    fraction[part] = 0.5 * np.sum(x * np.roll(y, -1, -1) - np.roll(x, -1, -1) * y, axis=-1)
+    return CellGeometry(fraction, ap_v[1:-1], ap_h[:, 1:-1])
+
+
 def rasterize(shape: Shape, h: float) -> GridDomain:
     """Mask of lattice nodes strictly inside the shape, with each node's Dirichlet diagonal.
 
     Nodes with no interior 4-neighbour are dropped first: they couple to
-    nothing, and in a Neumann problem each would add a zero mode.
+    nothing, so each would be a mask component of its own (an acute
+    corner holds one at h = 1/96) carrying a decoupled Dirichlet
+    eigenvalue of at least 4/h^2. The Neumann problem does not use the
+    mask: a cut cell at such a node keeps its links to its neighbours'
+    cells.
     Raises RasterizeError for an empty or 4-disconnected mask, or when the
     node-count area disagrees with the exact area by more than 2 cut h^2,
     where cut = 4 node_count - adjacency.nnz counts the lattice links from
@@ -345,6 +453,11 @@ def rasterize(shape: Shape, h: float) -> GridDomain:
     The domain's `dirichlet_diagonal` comes from `_dirichlet_diagonal`. A
     lattice-aligned edge passes through the exterior nodes, so theta = 1
     there and the diagonal is exactly 4.
+
+    The mask's box is trimmed to the mask, but no closer than one node
+    inside the range whose dual cells can meet the shape's bbox, so the
+    padded box holds every Neumann cut-cell node; the cell geometry
+    itself waits for `GridDomain.cells`.
     """
     if not (h > 0.0 and math.isfinite(h)):
         raise RasterizeError(f"mesh width must be positive, got {h}")
@@ -363,10 +476,16 @@ def rasterize(shape: Shape, h: float) -> GridDomain:
     diagonal = _dirichlet_diagonal(shape, mask, i_lo, j_lo, h)
     rows = np.nonzero(mask.any(axis=1))[0]
     cols = np.nonzero(mask.any(axis=0))[0]
-    mask = mask[rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1]
-    x0 = (i_lo + rows[0]) * h
-    y0 = (j_lo + cols[0]) * h
-    domain = GridDomain(mask, h, shape.area, shape.label, x0, y0, diagonal)
+    # the padded box also holds every node whose dual cell can meet the
+    # shape: x + h/2 >= xmin and x - h/2 <= xmax
+    r0 = min(rows[0], math.ceil(xmin / h - 0.5) + 1 - i_lo)
+    r1 = max(rows[-1], math.floor(xmax / h + 0.5) - 1 - i_lo)
+    c0 = min(cols[0], math.ceil(ymin / h - 0.5) + 1 - j_lo)
+    c1 = max(cols[-1], math.floor(ymax / h + 0.5) - 1 - j_lo)
+    mask = mask[r0 : r1 + 1, c0 : c1 + 1]
+    x0 = (i_lo + r0) * h
+    y0 = (j_lo + c0) * h
+    domain = GridDomain(mask, h, shape.area, shape.label, x0, y0, diagonal, shape)
     ncomp = connected_components(domain.adjacency, directed=False)[0]
     if ncomp != 1:
         raise RasterizeError(f"mask for {shape.label} at h={h} has {ncomp} components")

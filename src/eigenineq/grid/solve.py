@@ -4,6 +4,9 @@
 mesh level it rasterizes once, assembles each distinct matrix once and
 factors each distinct shifted matrix once (buckling shares the clamped
 bi-Laplacian and its factor, and the Dirichlet Laplacian as its mass).
+Only the clamped factor outlives its own solve: a membrane's factor is
+freed as soon as its eigenpairs are in, so a level holds at most one
+membrane factor besides the plate's.
 
 Eigenvalues come from ARPACK in shift-invert mode (shift 0 for the
 positive-definite problems, a small negative shift for Neumann so the
@@ -213,7 +216,9 @@ def solve_shape(shape: Shape, problems: Mapping[ProblemKind, int], h: float, lev
             if kind not in failed:
                 try:
                     domain = domain or rasterize(shape, h / 2**lev)
-                    spectra[kind].append(smallest_eigs(_operator(domain, kind, ops), m, factors))
+                    # only the plates share a factor; a membrane's is freed when its solve returns
+                    shared = factors if kind in (ProblemKind.CLAMPED, ProblemKind.BUCKLING) else None
+                    spectra[kind].append(smallest_eigs(_operator(domain, kind, ops), m, shared))
                 except Exception as exc:
                     failed[kind] = exc
     return {kind: failed[kind] if kind in failed else (spectra[kind], extrapolate(*spectra[kind][-2:]))

@@ -1,16 +1,19 @@
 """Rasterization, operator assembly and eigensolver against exact references."""
 
+import gc
 import math
 import os
 import subprocess
 import sys
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 from scipy import sparse
+from scipy.special import jnp_zeros
 
 from eigenineq import specfun
 from eigenineq.balls import BallSpec, buckling_ball, clamped_ball, dirichlet_ball, rectangle_spectrum
@@ -32,6 +35,7 @@ from eigenineq.grid import (
     smallest_eigs,
     solve_shape,
 )
+from eigenineq.grid import domain as domain_module
 from eigenineq.grid import solve as solve_module
 from eigenineq.grid.domain import _THETA_MIN
 from eigenineq.spectra import ProblemKind, Provenance
@@ -195,6 +199,64 @@ class TestCutLinks:
             smallest_eigs(op, 2)
 
 
+class TestCutCells:
+    def test_unit_square_nodes_are_the_closed_square(self):
+        h = 1.0 / 32.0
+        d = rasterize(Rectangle(1.0, 1.0), h)
+        f = d.cells.fraction
+        # the padded box runs from the node (0, 0) to (1, 1), and every node of it is a Neumann node
+        assert f.shape == (33, 33) and (d.x0 - h, d.y0 - h) == (0.0, 0.0)
+        assert np.all(f > 0.0) and assemble(d, ProblemKind.NEUMANN).dim == 33 * 33
+        assert np.all(f[1:-1, 1:-1] == 1.0)
+        assert np.all(np.concatenate([f[0, 1:-1], f[-1, 1:-1], f[1:-1, 0], f[1:-1, -1]]) == 0.5)
+
+    @pytest.mark.parametrize("steps", [16, 32, 64, 128])
+    @pytest.mark.parametrize("name", list(CORPUS))
+    def test_fractions_sum_to_the_area(self, name, steps):
+        # a cell holding a boundary corner is cut by a chord: measured -0.26 to -0.54 h^2
+        h = 1.0 / steps
+        d = rasterize(CORPUS[name], h)
+        assert abs(d.cells.fraction.sum() * h * h - d.area_exact) <= h * h
+
+    @pytest.mark.parametrize("name", list(CORPUS))
+    def test_stiffness_annihilates_constants(self, name):
+        # A = S K S / h^2 with S = diag(f^(-1/2)), so K 1 = 0 reads A f^(1/2) = 0
+        h = 1.0 / 32.0
+        d = rasterize(CORPUS[name], h)
+        f = d.cells.fraction[d.cells.fraction > 0.0]
+        a = assemble(d, ProblemKind.NEUMANN).matrix
+        k = sparse.diags(np.sqrt(f)) @ a @ sparse.diags(np.sqrt(f)) * h**2
+        assert abs(k).max() >= 1.0
+        np.testing.assert_allclose(k @ np.ones(f.size), 0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [CORPUS["disk"], CORPUS["ellipse_2to1"], CORPUS["l_shape"],
+                                       Polygon(((0.05, 0.02), (1.3, 0.2), (1.0, 0.9), (0.2, 0.7)))],
+                             ids=["disk", "ellipse_2to1", "l_shape", "acute_quad"])
+    def test_padded_box_holds_every_cut_cell(self, shape):
+        h = 1.0 / 96.0
+        d = rasterize(shape, h)
+        nx, ny = d.cells.fraction.shape
+        wider = domain_module._cell_geometry(shape, round(d.x0 / h) - 2, round(d.y0 / h) - 2, (nx + 2, ny + 2), h)
+        assert np.array_equal(wider.fraction[1:-1, 1:-1], d.cells.fraction)
+        assert not wider.fraction[[0, -1]].any() and not wider.fraction[:, [0, -1]].any()
+
+    def test_disconnected_cells_rejected(self):
+        # two separate cells would be two zero modes, and mu_1 would read 0
+        d = GridDomain(np.array([[True, True, False, True, True]]), 1.0, 4.0, "pair_of_pairs", 0.0, 0.0)
+        with pytest.raises(RasterizeError, match="form 2 components"):
+            assemble(d, ProblemKind.NEUMANN)
+
+    def test_dirichlet_only_solve_never_computes_the_cells(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("cell geometry computed")
+
+        monkeypatch.setattr(domain_module, "_cell_geometry", refuse)
+        solved = solve_shape(Disk(1.0), {ProblemKind.DIRICHLET: 3, ProblemKind.BUCKLING: 2}, 1.0 / 16.0, 2)
+        assert not any(isinstance(got, Exception) for got in solved.values())
+        with pytest.raises(AssertionError, match="cell geometry computed"):
+            assemble(rasterize(Disk(1.0), 1.0 / 16.0), ProblemKind.NEUMANN)
+
+
 _AXES = ((1, 0), (-1, 0), (0, 1), (0, -1))
 _DIAGONALS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
@@ -273,10 +335,11 @@ class TestSmallestEigs:
         for got, want in zip(s.values, ref):
             assert abs(got - want) < 1e-9 * want
 
-    def test_neumann_square_zero_mode_and_mu1(self):
+    def test_neumann_square_zero_mode_and_mu1_within_3e_8(self):
+        # measured 3.2e-9: a 9x margin
         _, ext = solve_shape(Rectangle(1.0, 1.0), {ProblemKind.NEUMANN: 3}, 1.0 / 128.0, 2)[ProblemKind.NEUMANN]
         assert abs(ext.values[0]) <= 1e-8 * ext.values[1]
-        assert abs(ext.values[1] - math.pi**2) / math.pi**2 < 0.01
+        assert abs(ext.values[1] - math.pi**2) / math.pi**2 < 3e-8
 
     def test_disk_dirichlet_extrapolates_to_bessel_zero(self):
         _, ext = solve_shape(Disk(1.0), {ProblemKind.DIRICHLET: 3}, 1.0 / 64.0, 2)[ProblemKind.DIRICHLET]
@@ -284,11 +347,11 @@ class TestSmallestEigs:
         assert abs(ext.values[0] - ref) / ref < 0.005
         assert abs(ext.values[1] / ext.values[0] - 2.5387) < 5e-3
 
-    def test_neumann_disk_mu1_within_one_percent(self):
-        # also pins the deriv-zero root against the grid oracle
+    def test_neumann_disk_mu1_within_1e_5(self):
+        # also pins the deriv-zero root against the grid oracle; measured 1.4e-6: a 7x margin
         _, ext = solve_shape(Disk(1.0), {ProblemKind.NEUMANN: 2}, 1.0 / 64.0, 2)[ProblemKind.NEUMANN]
         root_sq = specfun.bessel_j_deriv_zero(1.0, 1) ** 2
-        assert abs(ext.values[1] - root_sq) / root_sq < 0.01
+        assert abs(ext.values[1] - root_sq) / root_sq < 1e-5
 
     @pytest.mark.parametrize("kind", list(ProblemKind))
     def test_matches_dense_solve_on_lshape(self, kind):
@@ -376,6 +439,32 @@ class TestSolveShape:
         # buckling pair reuses the clamped factor
         assert calls == {"rasterize": 2, "assemble": 6, "_factor_spd": 6}
 
+    def test_only_the_plate_factor_outlives_its_solve(self, monkeypatch):
+        factors, live = [], []
+        real_factor, real_eigs = solve_module._factor_spd, solve_module.smallest_eigs
+
+        class Factor:  # a weakly referenceable holder of the LU's solve
+            def __init__(self, lu):
+                self.solve = lu.solve
+
+        def factor(matrix):
+            made = Factor(real_factor(matrix))
+            factors.append(weakref.ref(made))
+            return made
+
+        def eigs(op, m, memo=None):
+            gc.collect()
+            live.append((op.kind, sum(ref() is not None for ref in factors)))
+            return real_eigs(op, m, memo)
+
+        monkeypatch.setattr(solve_module, "_factor_spd", factor)
+        monkeypatch.setattr(solve_module, "smallest_eigs", eigs)
+        solve_shape(Disk(1.0), _FOUR, 1.0 / 16.0, 2)
+        # the Dirichlet and Neumann factors are gone before the next solve;
+        # buckling still finds the clamped one
+        kinds = list(_FOUR)
+        assert live == [(kind, int(kind is ProblemKind.BUCKLING)) for kind in kinds] * 2
+
     def test_shift_invert_solve_count(self, monkeypatch):
         solves = []
         real = solve_module._factor_spd
@@ -432,6 +521,47 @@ def test_dirichlet_sweep_is_second_order_and_within_its_allowance(name, h0):
         exact = np.array(_SWEEP_EXACT[name](m).values)
         err = np.abs(np.array(ext.values) - exact) / exact
         assert np.all(err <= 2.0 * ext.allowance)
+
+
+def _neumann_disk(m):
+    """0, then the squared zeros of J_n', once for n = 0 and twice for n >= 1, ascending."""
+    roots = np.concatenate([jnp_zeros(0, m)] + [np.repeat(jnp_zeros(n, m), 2) for n in range(1, m)])
+    return np.concatenate([[0.0], np.sort(roots)[: m - 1] ** 2])
+
+
+def _neumann_rectangle(name):
+    shape = CORPUS[name]
+    return lambda m: np.array(rectangle_spectrum(shape.width, shape.height, ProblemKind.NEUMANN, m).values)
+
+
+# leading Neumann values of the corpus shapes: closed forms; the 2:1 ellipse's
+# mu_1 from Ritz; the L-shape's mu_1..mu_5 from Trefethen & Betcke, "Computed
+# eigenmodes of planar regions" (Contemp. Math. 412, 2006), whose L has side 2
+_NEUMANN_EXACT = {
+    "unit_square": _neumann_rectangle("unit_square"),
+    "rect_2to1": _neumann_rectangle("rect_2to1"),
+    "rect_sqrt8_sqrt3": _neumann_rectangle("rect_sqrt8_sqrt3"),
+    "disk": _neumann_disk,
+    "ellipse_2to1": lambda m: np.array([0.0, 3.51028564]),
+    "l_shape": lambda m: 4.0 * np.array([0.0, 1.4756218, 3.5340314, math.pi**2, math.pi**2, 11.389479]),
+}
+
+
+@pytest.mark.parametrize("h0", [1.0 / 16.0, 1.0 / 24.0, 1.0 / 32.0], ids=["h16", "h24", "h32"])
+@pytest.mark.parametrize("name", list(_NEUMANN_EXACT))
+def test_neumann_sweep_is_within_its_allowance(name, h0):
+    # two levels h0, h0/2: every value with a reference within 2x the
+    # allowance (measured at most 0.27x, on the L-shape)
+    m = _VERIFY_M[ProblemKind.NEUMANN]
+    levels, ext = solve_shape(CORPUS[name], {ProblemKind.NEUMANN: m}, h0, 2)[ProblemKind.NEUMANN]
+    exact = _NEUMANN_EXACT[name](m)
+    live = exact > 0.0
+    err = np.abs(np.array(ext.values[: exact.size])[live] - exact[live]) / exact[live]
+    assert np.all(err <= 2.0 * ext.allowance)
+    if name == "unit_square":
+        # off-lattice errors are near 1e-5 and change sign, so only the square's order is asserted
+        e0, e1 = (abs(s.values[1] - math.pi**2) for s in levels)
+        assert 1.8 <= math.log2(e0 / e1) <= 2.2
 
 
 class TestRayleighQuotient:
