@@ -167,17 +167,8 @@ def rectangle_spectrum(a: float, b: float, kind: ProblemKind, count: int) -> Spe
         raise ValueError(f"rectangles support Dirichlet and Neumann only, got {kind}")
     low = 1 if kind is ProblemKind.DIRICHLET else 0
     pi2 = math.pi**2
-    cut = pi2 * (1.0 / a**2 + 1.0 / b**2) * (1.0 + count)
-    while True:
-        pmax = int(math.floor(a * math.sqrt(cut) / math.pi))
-        qmax = int(math.floor(b * math.sqrt(cut) / math.pi))
-        vals = [
-            pi2 * (p * p / (a * a) + q * q / (b * b))
-            for p in range(low, pmax + 1)
-            for q in range(low, qmax + 1)
-            if pi2 * (p * p / (a * a) + q * q / (b * b)) <= cut
-        ]
-        if len(vals) >= count:
-            vals.sort()
-            return Spectrum(kind, 2, tuple(vals[:count]), f"rectangle({a:g}x{b:g})", Provenance.CLOSED_FORM)
-        cut *= 1.6
+    # the `count` smallest values all have p, q < low + count: a pair outside
+    # that range has `count` strictly smaller ones on its own row or column
+    span = range(low, low + count)
+    vals = sorted(pi2 * (p * p / (a * a) + q * q / (b * b)) for p in span for q in span)
+    return Spectrum(kind, 2, tuple(vals[:count]), f"rectangle({a:g}x{b:g})", Provenance.CLOSED_FORM)

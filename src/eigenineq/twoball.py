@@ -38,8 +38,7 @@ from .specfun._zeros import scan_zeros
 TALENTI_D_PRIME = {2: 0.9777, 3: 0.7391, 4: 0.6524}
 
 _ENDPOINT_GUARD = 1e-3
-_GRID_POINTS = 65  # t-grid points of the d_n scan
-_ZOOM_POINTS = 16  # interior points solved per round of the d_n minimizer zoom
+_GRID_POINTS = 65  # t-grid points of the d_n scan; odd, so that t = 1/2 is a grid point
 
 
 @dataclass(frozen=True)
@@ -120,7 +119,9 @@ def _J_many(n, a, k0) -> np.ndarray:
     """Smallest two-ball eigenvalue at every first-ball radius in `a`.
 
     `n`, `a` and `k0` (the clamped unit-ball root of each n) broadcast
-    against each other, so one batch can mix dimensions.
+    against each other, so one batch can mix dimensions: `d_constants`
+    solves every n's t-grid as one (n, t) array, and the result keeps
+    the broadcast shape.
     Near-degenerate endpoints (min(a, b) < 1e-3) take the analytic
     endpoint value k0^4. Every other radius is one row of a `scan_zeros`
     batch in k = mu^(1/4): the scan runs from 0.5 k0 in steps of k0/50
@@ -164,39 +165,22 @@ def _t_to_a(t, n: int):
     return t ** (1.0 / n)
 
 
-def _J_of_t(ts: dict, k0: dict):
-    """_J_many over t = a^n for every n of `ts` ({n: t array}) in one batch.
-
-    Returns ({n: J values}, {n: ConvergenceError}), the latter for each n
-    with a failed root.
-    """
-    sizes = [len(t) for t in ts.values()]
-    js = _J_many(
-        np.repeat(list(ts), sizes),
-        np.concatenate([_t_to_a(t, n) for n, t in ts.items()]),
-        np.repeat([k0[n] for n in ts], sizes),
-    )
-    js = dict(zip(ts, np.split(js, np.cumsum(sizes)[:-1])))
-    failed = {n: ts[n][np.isnan(j)].tolist() for n, j in js.items()}
-    return js, {n: ConvergenceError(f"two-ball bracketing failed for n={n} at t={t}") for n, t in failed.items() if t}
-
-
 def d_constants(ns) -> dict[int, DConstantResult]:
-    """{n: d_n = min_a J(a) / Gamma_1(B_1)} in increasing n, by t-scans and a batched zoom.
+    """{n: d_n = min_t J(t) / Gamma_1(B_1)} in increasing n, from one batched t-grid.
 
     t = a^n is the natural variable (J is symmetric about t = 1/2). The
-    t-grids of all n are solved in one lockstep batch, and each n's scan
-    rejects root-jumping: no adjacent gap may exceed 5x a robust local
-    slope scale. Interior grid minima are then refined by zooming, all n
-    in lockstep: each round solves 16 evenly spaced interior points of
-    every bracket at once and keeps the neighbours of the smallest value;
-    an n drops out once its bracket is narrower than 1e-6 in t. d_n is the
-    smallest J the grid or any round evaluated. An endpoint minimum is
-    the ball value itself.
+    65-point t-grids of all n are solved in one `_J_many` batch. Each n's
+    row must then find a root at every t and must not jump roots: no
+    adjacent gap may exceed 5x a robust local slope scale. d_n is the
+    smallest J on the grid. The two-ball minimum sits at one ball
+    (t = 0 or 1, n = 2, 3) or at two equal balls (t = 1/2, n >= 4), and
+    the grid holds all three points; a grid minimum at any other t raises
+    ConvergenceError, because the grid value there could overstate a
+    constant that is used as a lower bound.
 
-    When some n fail, the ConvergenceError of the smallest of them is
-    raised: the one that solving the n one at a time, in increasing
-    order, would meet first.
+    The n are checked in increasing order, so when some n fail, the
+    ConvergenceError of the smallest of them is raised: the one that
+    solving the n one at a time would meet first.
     """
     ns = sorted(set(ns))
     for n in ns:
@@ -204,56 +188,35 @@ def d_constants(ns) -> dict[int, DConstantResult]:
             raise ValueError(f"n must be >= 2, got {n}")
     if not ns:
         return {}
-    k0 = {n: zs[0] for n, zs in zip(ns, _clamped_roots(np.array(ns) / 2.0 - 1.0, kmax=1))}
+    k0 = [zs[0] for zs in _clamped_roots(np.array(ns) / 2.0 - 1.0, kmax=1)]
     ts = np.linspace(0.0, 1.0, _GRID_POINTS)
-    grid, errors = _J_of_t(dict.fromkeys(ns, ts), k0)
-    best, zoom = {}, {}  # n -> (t_min, j_min); n -> (x_lo, x_hi, f_lo, f_hi)
-    for n in ns:
-        if n in errors:
-            continue
-        js = grid[n]
+    # a scalar exponent per n, as in curve_table (numpy's power of an exponent array differs, see _radii)
+    grid = _J_many(np.array(ns)[:, None], np.array([_t_to_a(ts, n) for n in ns]), np.array(k0)[:, None])
+    results = {}
+    for n, k, js in zip(ns, k0, grid):
+        ball = k**4
+        failed = ts[np.isnan(js)].tolist()
+        if failed:
+            raise ConvergenceError(f"two-ball bracketing failed for n={n} at t={failed}")
         gaps = np.abs(np.diff(js))
         padded = np.pad(gaps, 1)  # gaps are >= 0, so a zero pad never wins the max
-        slope_scale = np.maximum(np.maximum(padded[:-2], padded[2:]), 1e-3 * k0[n] ** 4)
+        slope_scale = np.maximum(np.maximum(padded[:-2], padded[2:]), 1e-3 * ball)
         jumps = np.flatnonzero(gaps > 5.0 * slope_scale)
         if jumps.size:
             i = int(jumps[0])
-            errors[n] = ConvergenceError(
+            raise ConvergenceError(
                 f"J(t) jump between t={ts[i]:.4f} and t={ts[i + 1]:.4f} for n={n}: "
                 f"gap {gaps[i]:.3e} vs local slope scale {slope_scale[i]:.3e}"
             )
-            continue
         imin = int(np.argmin(js))
-        best[n] = float(ts[imin]), float(js[imin])
-        if 0 < imin < _GRID_POINTS - 1:
-            zoom[n] = ts[imin - 1], ts[imin + 1], js[imin - 1], js[imin + 1]
-    while True:
-        live = [n for n, (x_lo, x_hi, _, _) in zoom.items() if x_hi - x_lo >= 1e-6 and n not in errors]
-        if not live:
-            break
-        xs = {n: np.linspace(zoom[n][0], zoom[n][1], _ZOOM_POINTS + 2) for n in live}
-        inner, failed = _J_of_t({n: x[1:-1] for n, x in xs.items()}, k0)
-        errors.update(failed)
-        for n in live:
-            if n in failed:
-                continue
-            fs = np.concatenate(([zoom[n][2]], inner[n], [zoom[n][3]]))
-            j = int(np.argmin(fs))
-            if fs[j] < best[n][1]:  # round 1 does not re-solve the grid minimum
-                best[n] = float(xs[n][j]), float(fs[j])
-            lo, hi = max(j - 1, 0), min(j + 1, len(fs) - 1)
-            zoom[n] = xs[n][lo], xs[n][hi], fs[lo], fs[hi]
-    if errors:
-        raise errors[min(errors)]
-    results = {}
-    for n in ns:
-        js = grid[n]
-        t_min, j_min = best[n]
-        if n in zoom and js[0] <= j_min:  # endpoint still wins
-            t_min, j_min = float(ts[0]), float(js[0])
-        ball = k0[n] ** 4
+        t_min = float(ts[imin])
+        if t_min not in (0.0, 0.5, 1.0):
+            raise ConvergenceError(
+                f"two-ball minimum for n={n} at t={t_min}, not at t = 0, 1/2 or 1: "
+                f"the grid value may overstate d_n"
+            )
         curve = tuple((float(t), float(j / ball)) for t, j in zip(ts, js))
-        results[n] = DConstantResult(n, j_min / ball, t_min, ball, curve)
+        results[n] = DConstantResult(n, float(js[imin]) / ball, t_min, ball, curve)
     return results
 
 

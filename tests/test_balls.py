@@ -170,6 +170,12 @@ def test_rectangle_brute_force_enumeration():
         assert abs(got - ref) < 1e-12 * ref
 
 
+def test_thin_rectangle_takes_its_whole_first_row():
+    # every one of the 12 smallest values has q = 1, so p runs up to 12 = count
+    s = rectangle_spectrum(1.0, 0.01, ProblemKind.DIRICHLET, 12)
+    assert s.values == tuple(math.pi**2 * (p * p / 1.0 + 1.0 / 0.01**2) for p in range(1, 13))
+
+
 def test_unit_square_and_neumann_zero_mode():
     s = rectangle_spectrum(1.0, 1.0, ProblemKind.DIRICHLET, 1)
     assert abs(s.values[0] - 2.0 * math.pi**2) < 1e-12

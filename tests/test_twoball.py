@@ -118,7 +118,7 @@ def test_d_curve_samples_and_symmetry():
     assert ratios[0.0] == 1.0 and ratios[1.0] == 1.0
     for t in ts:
         assert abs(ratios[t] - ratios[1.0 - t]) < 1e-7 * ratios[t]
-    assert min(ratios.values()) == pytest.approx(res.d_n, rel=1e-6)
+    assert min(ratios.values()) == res.d_n
 
 
 def test_curve_table_endpoints():
@@ -225,12 +225,12 @@ def test_d_constants_pinned():
     for n, ref in PINNED_D.items():
         res = d_constant(n)
         assert res.d_n == pytest.approx(ref, rel=1e-12, abs=0.0)
-        assert abs(res.minimizer_t - 0.5) < 1e-6
+        assert res.minimizer_t == 0.5
 
 
-def test_zoom_returns_the_smallest_J_it_evaluated(monkeypatch):
-    # the t-grid holds t = 1/2, the exact minimizer, and no zoom point
-    # after it may displace it with a larger value
+def test_d_n_is_the_smallest_J_evaluated(monkeypatch):
+    # every n's t-grid is one _J_many batch, and d_n is the smallest value
+    # it holds: for n >= 4 the grid point t = 1/2, the exact minimizer
     seen = []
     real = twoball._J_many
 
@@ -241,6 +241,7 @@ def test_zoom_returns_the_smallest_J_it_evaluated(monkeypatch):
 
     monkeypatch.setattr(twoball, "_J_many", recording)
     batch = d_constants(range(4, 9))
+    assert len(seen) == 1
     ns = np.concatenate([np.ravel(n) for n, _ in seen])
     js = np.concatenate([np.ravel(j) for _, j in seen])
     for n, res in batch.items():
@@ -275,16 +276,16 @@ def test_batch_equals_one_dimension_at_a_time():
 
 
 def test_batch_raises_the_first_failure_of_a_loop_over_n(monkeypatch, tmp_path):
-    # n = 7 fails on its t-grid, n = 5 only later, in its first zoom round
-    # (no grid point lies in 0.49 < t < 0.4999); a loop over increasing n
-    # meets n = 5 first, and so must the batch
+    # n = 7 fails on most of its t-grid, n = 5 on its one grid point
+    # t = 0.3125 in 0.30 < t < 0.32; a loop over increasing n meets n = 5
+    # first, and so must the batch
     real = twoball.secular_det
 
     def failing(n, a, mu):
         det = real(n, a, mu)
         n, a = np.broadcast_arrays(n, a)
         t = a**n
-        fail = ((n == 7) & (0.1 < t) & (t < 0.9)) | ((n == 5) & (0.49 < t) & (t < 0.4999))
+        fail = ((n == 7) & (0.1 < t) & (t < 0.9)) | ((n == 5) & (0.30 < t) & (t < 0.32))
         return np.where(fail, 1.0, det)
 
     monkeypatch.setattr(twoball, "secular_det", failing)
@@ -294,7 +295,7 @@ def test_batch_raises_the_first_failure_of_a_loop_over_n(monkeypatch, tmp_path):
     with pytest.raises(ConvergenceError) as first:
         for n in range(2, 9):
             d_constant(n)
-    assert str(first.value).startswith("two-ball bracketing failed for n=5 at t=[0.49")
+    assert str(first.value) == "two-ball bracketing failed for n=5 at t=[0.3125]"
     with pytest.raises(ConvergenceError) as batch:
         d_constants(range(2, 9))
     assert str(batch.value) == str(first.value)
@@ -303,9 +304,19 @@ def test_batch_raises_the_first_failure_of_a_loop_over_n(monkeypatch, tmp_path):
     assert str(cli.value) == str(first.value)
 
 
+def test_minimum_off_the_known_minimizers_is_an_error(monkeypatch, tmp_path):
+    # a smooth J with its minimum at the grid point t = 0.25, where the grid
+    # value could overstate d_n, must not pass as a constant
+    monkeypatch.setattr(twoball, "_J_many", lambda n, a, k0: k0**4 * (1.0 + (a**n - 0.25) ** 2))
+    with pytest.raises(ConvergenceError, match=r"n=4 at t=0\.25,"):
+        d_constants([4])
+    with pytest.raises(ConvergenceError, match=r"n=4 at t=0\.25,"):
+        main(["--output-dir", str(tmp_path), "constants", "--n", "4"])
+
+
 def test_constants_solves_all_n_in_few_determinant_calls(monkeypatch, tmp_path):
-    # all n share one lockstep batch of about 220 stacked determinants, and
-    # ITP takes about 10 determinants per root where bisection took 30
+    # all n share one lockstep batch of their 7 x 63 scanned grid radii (the
+    # endpoints are analytic): 41 stacked determinants on 15,527 rows
     calls = []
     real = twoball.secular_det
 
@@ -315,8 +326,8 @@ def test_constants_solves_all_n_in_few_determinant_calls(monkeypatch, tmp_path):
 
     monkeypatch.setattr(twoball, "secular_det", counting)
     assert run_constants(range(2, 9), str(tmp_path)) == 0
-    assert 0 < len(calls) <= 290
-    assert sum(calls) <= 31_000
+    assert 0 < len(calls) <= 60
+    assert sum(calls) <= 17_000
 
 
 def test_two_ball_root_is_bracketed_within_four_ulps():
