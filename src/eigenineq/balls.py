@@ -54,10 +54,6 @@ class BallSpec:
     def volume(self) -> float:
         return unit_ball_volume(self.dimension) * self.radius**self.dimension
 
-    @property
-    def label(self) -> str:
-        return f"ball(n={self.dimension}, R={self.radius:g})"
-
 
 def _clamped_roots(nu, kmax=math.inf, bound=math.inf):
     """Roots of J_nu(x) I_{nu+1}(x) + I_nu(x) J_{nu+1}(x) = 0: the first kmax, or all up to `bound`.
@@ -124,7 +120,7 @@ def _ball(kind: ProblemKind, spec: BallSpec, count: int) -> Spectrum:
         raise ValueError(f"count must be >= 1, got {count}")
     p = _RADIAL[kind][2]
     values = tuple((z / spec.radius) ** p for z in _unit_roots(kind, spec.dimension, count))
-    return Spectrum(kind, spec.dimension, values, spec.label, Provenance.CLOSED_FORM)
+    return Spectrum(kind, values, Provenance.CLOSED_FORM)
 
 
 def dirichlet_ball(spec: BallSpec, count: int) -> Spectrum:
@@ -171,4 +167,4 @@ def rectangle_spectrum(a: float, b: float, kind: ProblemKind, count: int) -> Spe
     # that range has `count` strictly smaller ones on its own row or column
     span = range(low, low + count)
     vals = sorted(pi2 * (p * p / (a * a) + q * q / (b * b)) for p in span for q in span)
-    return Spectrum(kind, 2, tuple(vals[:count]), f"rectangle({a:g}x{b:g})", Provenance.CLOSED_FORM)
+    return Spectrum(kind, tuple(vals[:count]), Provenance.CLOSED_FORM)

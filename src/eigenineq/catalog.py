@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .balls import BallSpec, buckling_ball, clamped_ball, dirichlet_ball, neumann_ball_mu1, unit_ball_volume
-from .spectra import Spectrum
+from .spectra import DomainSpectra
 from .twoball import c_constant, d_constant
 
 PROVEN = "proven"
@@ -55,19 +55,6 @@ class InequalityReport:
     status: str
     citation: str
     note: str = ""
-
-
-@dataclass(frozen=True)
-class DomainSpectra:
-    """Everything the catalog may need about one domain."""
-
-    label: str
-    dimension: int
-    area: float
-    dirichlet: Spectrum | None = None
-    neumann: Spectrum | None = None
-    clamped: Spectrum | None = None
-    buckling: Spectrum | None = None
 
 
 class SpectrumTooShort(ValueError):

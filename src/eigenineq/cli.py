@@ -22,9 +22,9 @@ import os
 import sys
 from pathlib import Path
 
-from .catalog import CATALOG, CONJECTURE, PROVEN, DomainSpectra, evaluate_all
+from .catalog import CATALOG, CONJECTURE, PROVEN, evaluate_all
 from .grid.domain import Annulus, Disk, Ellipse, LShape, Polygon, Rectangle, Shape, _finite_real
-from .grid.solve import SolverError, solve_shape
+from .grid.solve import SolverError, solve_domain
 from .spectra import ProblemKind
 from .twoball import TALENTI_D_PRIME, c_constant, curve_table, d_constants
 
@@ -72,11 +72,18 @@ def _write_csv(path: Path, header, rows):
             writer.writerow([_fmt(v) for v in row])
 
 
-def _write_spectra(path: Path, spectra):
-    """One row per eigenvalue of each spectrum, in the order given."""
+def _write_spectra(path: Path, solved):
+    """One row per eigenvalue of each (bundle, per-level spectra) pair's spectra.
+
+    Domains go by label and problems by name; each problem's levels come
+    before its extrapolation, and every row carries the bundle's label.
+    """
     _write_csv(path, ["domain", "problem", "provenance", "h", "index", "value", "allowance"],
-               [(s.domain_label, s.kind.value, s.provenance.value, s.mesh_h, i + 1, v, s.allowance)
-                for s in spectra for i, v in enumerate(s.values)])
+               [(bundle.label, s.kind.value, s.provenance.value, s.mesh_h, i + 1, v, s.allowance)
+                for bundle, per_level in sorted(solved, key=lambda d: d[0].label)
+                for kind in sorted(per_level, key=lambda k: k.value)
+                for s in [*per_level[kind], getattr(bundle, kind.value)]
+                for i, v in enumerate(s.values)])
 
 
 def parse_shape(desc: dict) -> Shape:
@@ -92,12 +99,15 @@ def parse_shape(desc: dict) -> Shape:
         "annulus": Annulus,
         "polygon": Polygon,
     }
+    if kind not in makers:
+        raise ConfigError(f"unknown shape type {kind!r}")
     try:
-        if kind in makers:
-            return makers[kind](**args)
-    except (TypeError, ValueError) as exc:
+        shape = makers[kind](**args)
+        if not math.isfinite(shape.area):
+            raise ValueError(f"area {shape.area} is not finite")
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad {kind} descriptor {args}: {exc}") from exc
-    raise ConfigError(f"unknown shape type {kind!r}")
+    return shape
 
 
 def _integer(value, name: str) -> int:
@@ -200,27 +210,17 @@ def run_verify(config: dict, output_dir: str, tolerance_scale: float = 1.0, work
 
     wanted = {problem: m_for(problem) for problem in problems}
     by_area = sorted(domains, key=lambda d: d[1].area, reverse=True)
-    results = {label: {} for label, _ in domains}  # label -> {problem: [level spectra..., extrapolated]}
-    errors = []
     with concurrent.futures.ThreadPoolExecutor(max_workers=workers or os.cpu_count() or 1) as pool:
-        solved = pool.map(lambda d: solve_shape(d[1], wanted, h, levels), by_area)
-        for (label, _), by_kind in zip(by_area, solved):
-            for problem, got in by_kind.items():
-                if isinstance(got, Exception):
-                    errors.append({"domain": label, "problem": problem.value, "error": str(got)})
-                else:
-                    results[label][problem.value] = [dataclasses.replace(s, domain_label=label)
-                                                     for s in [*got[0], got[1]]]
-
-    _write_spectra(out / "spectra.csv",
-                   [s for label in sorted(results) for _, spectra in sorted(results[label].items()) for s in spectra])
+        solved = list(pool.map(lambda d: solve_domain(*d, wanted, h, levels), by_area))
+    errors = [{"domain": bundle.label, "problem": problem.value, "error": str(exc)}
+              for bundle, _, failed in solved for problem, exc in failed.items()]
+    _write_spectra(out / "spectra.csv", [(bundle, per_level) for bundle, per_level, _ in solved])
 
     reports = []
-    for label, shape in domains:
-        extrapolated = {problem: dataclasses.replace(spectra[-1], allowance=spectra[-1].allowance * tolerance_scale)
-                        for problem, spectra in results[label].items()}
-        bundle = DomainSpectra(label=label, dimension=2, area=shape.area, **extrapolated)
-        reports.extend(evaluate_all(bundle, m_max=m_max, k_max=k_max, ids=ids))
+    for bundle, per_level, _ in solved:
+        scaled = {s.kind.value: dataclasses.replace(s, allowance=s.allowance * tolerance_scale)
+                  for s in (getattr(bundle, kind.value) for kind in per_level)}
+        reports.extend(evaluate_all(dataclasses.replace(bundle, **scaled), m_max=m_max, k_max=k_max, ids=ids))
     reports.sort(key=lambda r: (r.domain, r.id, -1 if r.m is None else r.m))
     _write_csv(
         out / "inequalities.csv",
@@ -307,15 +307,14 @@ def run_spectrum(shape_desc: str, problem: str, h: float, levels: int, m: int, o
     shape = parse_shape(desc)
     kind = ProblemKind(problem)
     try:
-        got = solve_shape(shape, {kind: m}, h, levels)[kind]
-        if isinstance(got, Exception):
-            raise got
+        bundle, per_level, errors = solve_domain(shape.label, shape, {kind: m}, h, levels)
+        if kind in errors:
+            raise errors[kind]
     except ValueError as exc:  # a shape that does not rasterize, or levels or m the mesh cannot give
         raise ConfigError(str(exc)) from exc
-    level_spectra, extrapolated = got
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_spectra(out / "spectrum.csv", [*level_spectra, extrapolated])
+    _write_spectra(out / "spectrum.csv", [(bundle, per_level)])
     return 0
 
 

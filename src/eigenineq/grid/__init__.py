@@ -19,6 +19,7 @@ from .solve import (
     poisson_solve,
     rayleigh_quotient,
     smallest_eigs,
+    solve_domain,
     solve_shape,
 )
 
@@ -40,5 +41,6 @@ __all__ = [
     "rasterize",
     "rayleigh_quotient",
     "smallest_eigs",
+    "solve_domain",
     "solve_shape",
 ]

@@ -6,7 +6,9 @@ factors each distinct shifted matrix once (buckling shares the clamped
 bi-Laplacian and its factor, and the Dirichlet Laplacian as its mass).
 Only the clamped factor outlives its own solve: a membrane's factor is
 freed as soon as its eigenpairs are in, so a level holds at most one
-membrane factor besides the plate's.
+membrane factor besides the plate's. `solve_domain` hands one shape's
+results on as the domain's `DomainSpectra`, the one source `verify` and
+`spectrum` read.
 
 Eigenvalues come from ARPACK in shift-invert mode (shift 0 for the
 positive-definite problems, a small negative shift for Neumann so the
@@ -30,7 +32,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
-from ..spectra import ProblemKind, Provenance, Spectrum
+from ..spectra import DomainSpectra, ProblemKind, Provenance, Spectrum
 from .domain import GridDomain, Shape, rasterize
 from .operators import DiscreteOperator, assemble, buckling
 
@@ -123,14 +125,7 @@ def smallest_eigs(op: DiscreteOperator, m: int, factors: dict | None = None) -> 
         # the resolved zero mode is exactly 0; its round-off residue would
         # change sign and digits with the factorization
         vals[0] = 0.0
-    return Spectrum(
-        kind=op.kind,
-        dimension=2,
-        values=tuple(float(v) for v in vals),
-        domain_label=op.domain.label,
-        provenance=Provenance.DISCRETE,
-        mesh_h=op.h,
-    )
+    return Spectrum(kind=op.kind, values=tuple(float(v) for v in vals), provenance=Provenance.DISCRETE, mesh_h=op.h)
 
 
 def extrapolate(coarse: Spectrum, fine: Spectrum) -> Spectrum:
@@ -140,10 +135,8 @@ def extrapolate(coarse: Spectrum, fine: Spectrum) -> Spectrum:
     max_i |fine_i - coarse_i| / value_i, i.e. 3x the observed Richardson
     residual.
     """
-    if coarse.kind is not fine.kind or coarse.dimension != fine.dimension:
-        raise ValueError("mismatched spectra kinds/dimensions")
-    if coarse.domain_label != fine.domain_label:
-        raise ValueError(f"mismatched domains {coarse.domain_label} vs {fine.domain_label}")
+    if coarse.kind is not fine.kind:
+        raise ValueError(f"mismatched spectra kinds {coarse.kind.value} vs {fine.kind.value}")
     if len(coarse) != len(fine):
         raise ValueError("mismatched spectrum lengths")
     if coarse.mesh_h is None or fine.mesh_h is None:
@@ -157,15 +150,8 @@ def extrapolate(coarse: Spectrum, fine: Spectrum) -> Spectrum:
     live = np.abs(values) > 1e-9 * float(np.abs(values).max())
     allowance = float(np.max(np.abs(f - c)[live] / np.abs(values)[live]))
     values = np.maximum.accumulate(values)  # extrapolation may disturb ties at machine level
-    return Spectrum(
-        kind=fine.kind,
-        dimension=fine.dimension,
-        values=tuple(float(v) for v in values),
-        domain_label=fine.domain_label,
-        provenance=Provenance.DISCRETE_EXTRAPOLATED,
-        mesh_h=fine.mesh_h,
-        allowance=allowance,
-    )
+    return Spectrum(kind=fine.kind, values=tuple(float(v) for v in values),
+                    provenance=Provenance.DISCRETE_EXTRAPOLATED, mesh_h=fine.mesh_h, allowance=allowance)
 
 
 def rayleigh_quotient(op: DiscreteOperator, vector) -> float:
@@ -223,3 +209,18 @@ def solve_shape(shape: Shape, problems: Mapping[ProblemKind, int], h: float, lev
                     failed[kind] = exc
     return {kind: failed[kind] if kind in failed else (spectra[kind], extrapolate(*spectra[kind][-2:]))
             for kind in problems}
+
+
+def solve_domain(label: str, shape: Shape, wanted: Mapping[ProblemKind, int], h: float, levels: int):
+    """One planar domain's spectra, the only source `verify` and `spectrum` read.
+
+    Returns (bundle, per-level spectra, errors): the `DomainSpectra` of
+    the extrapolated spectra, {kind: per-level spectra list} and {kind:
+    the exception its solve raised}. A kind that failed is missing from
+    the first two; the other kinds still solve.
+    """
+    solved = solve_shape(shape, wanted, h, levels)
+    errors = {kind: got for kind, got in solved.items() if isinstance(got, Exception)}
+    ok = {kind: got for kind, got in solved.items() if kind not in errors}
+    bundle = DomainSpectra(label, 2, shape.area, **{kind.value: ext for kind, (_, ext) in ok.items()})
+    return bundle, {kind: per_level for kind, (per_level, _) in ok.items()}, errors

@@ -1,4 +1,4 @@
-"""Problem kinds and ordered eigenvalue lists with provenance."""
+"""Problem kinds, ordered eigenvalue lists with provenance, and one domain's spectra."""
 
 import enum
 import math
@@ -29,16 +29,12 @@ class Spectrum:
     """
 
     kind: ProblemKind
-    dimension: int
     values: tuple[float, ...]
-    domain_label: str
     provenance: Provenance
     mesh_h: float | None = None
     allowance: float = 0.0
 
     def __post_init__(self):
-        if self.dimension < 2:
-            raise ValueError(f"dimension must be >= 2, got {self.dimension}")
         if not self.values:
             raise ValueError("spectrum must contain at least one eigenvalue")
         vals = tuple(float(v) for v in self.values)
@@ -62,3 +58,20 @@ class Spectrum:
 
     def __len__(self):
         return len(self.values)
+
+
+@dataclass(frozen=True)
+class DomainSpectra:
+    """One domain Omega in R^n as the catalog reads it: its label, n, volume |Omega| and spectra."""
+
+    label: str
+    dimension: int
+    area: float
+    dirichlet: Spectrum | None = None
+    neumann: Spectrum | None = None
+    clamped: Spectrum | None = None
+    buckling: Spectrum | None = None
+
+    def __post_init__(self):
+        if self.dimension < 2:
+            raise ValueError(f"dimension must be >= 2, got {self.dimension}")

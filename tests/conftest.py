@@ -5,8 +5,7 @@ import math
 
 import pytest
 
-from eigenineq.catalog import DomainSpectra
-from eigenineq.grid import Disk, Ellipse, LShape, Rectangle, solve_shape
+from eigenineq.grid import Disk, Ellipse, LShape, Rectangle, solve_domain
 from eigenineq.spectra import ProblemKind
 
 M_MAX = 8
@@ -25,10 +24,11 @@ _MEMBRANE_MESH = (1.0 / 64.0, 2)
 _PLATE_MESH = (1.0 / 48.0, 2)
 
 
-def _solve(shape, label, mesh, problems):
-    h, levels = mesh
-    solved = solve_shape(shape, problems, h, levels)
-    return {kind: dataclasses.replace(solved[kind][1], domain_label=label) for kind in problems}
+def _solve(label, shape, mesh, problems):
+    bundle, _, errors = solve_domain(label, shape, problems, *mesh)
+    for error in errors.values():
+        raise error
+    return bundle
 
 
 @pytest.fixture(scope="session")
@@ -36,16 +36,8 @@ def corpus_bundles():
     """Extrapolated spectra of all four problems on the whole corpus."""
     bundles = {}
     for label, shape in CORPUS.items():
-        membrane = _solve(shape, label, _MEMBRANE_MESH,
+        membrane = _solve(label, shape, _MEMBRANE_MESH,
                           {ProblemKind.DIRICHLET: max(M_MAX, K_MAX) + 1, ProblemKind.NEUMANN: K_MAX + 2})
-        plate = _solve(shape, label, _PLATE_MESH, {ProblemKind.CLAMPED: M_MAX + 1, ProblemKind.BUCKLING: 3})
-        bundles[label] = DomainSpectra(
-            label=label,
-            dimension=2,
-            area=shape.area,
-            dirichlet=membrane[ProblemKind.DIRICHLET],
-            neumann=membrane[ProblemKind.NEUMANN],
-            clamped=plate[ProblemKind.CLAMPED],
-            buckling=plate[ProblemKind.BUCKLING],
-        )
+        plate = _solve(label, shape, _PLATE_MESH, {ProblemKind.CLAMPED: M_MAX + 1, ProblemKind.BUCKLING: 3})
+        bundles[label] = dataclasses.replace(membrane, clamped=plate.clamped, buckling=plate.buckling)
     return bundles

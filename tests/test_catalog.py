@@ -16,23 +16,22 @@ from eigenineq.balls import (
 )
 from eigenineq.catalog import (
     CATALOG,
-    DomainSpectra,
     SpectrumTooShort,
     chain_check,
     check,
     evaluate_all,
     hile_yeh_cubic_root,
 )
-from eigenineq.spectra import ProblemKind, Provenance, Spectrum
+from eigenineq.spectra import DomainSpectra, ProblemKind, Provenance, Spectrum
 
 
-def synthetic(kind, values, label="synthetic"):
-    return Spectrum(kind, 2, tuple(values), label, Provenance.CLOSED_FORM)
+def synthetic(kind, values):
+    return Spectrum(kind, tuple(values), Provenance.CLOSED_FORM)
 
 
-def alone(spectrum, area=1.0):
+def alone(spectrum, area=1.0, dimension=2):
     """A bundle holding only `spectrum`."""
-    return DomainSpectra(spectrum.domain_label, spectrum.dimension, area, **{spectrum.kind.value: spectrum})
+    return DomainSpectra("synthetic", dimension, area, **{spectrum.kind.value: spectrum})
 
 
 @pytest.fixture(scope="module")
@@ -43,7 +42,7 @@ def disk_bundle():
         dimension=2,
         area=math.pi,
         dirichlet=dirichlet_ball(disk, 12),
-        neumann=synthetic(ProblemKind.NEUMANN, (0.0, neumann_ball_mu1(disk)), "disk"),
+        neumann=synthetic(ProblemKind.NEUMANN, (0.0, neumann_ball_mu1(disk))),
         clamped=clamped_ball(disk, 2),
         buckling=buckling_ball(disk, 2),
     )
@@ -134,7 +133,7 @@ class TestMembraneLow:
         bundle = DomainSpectra(
             f"ball{n}", n, 1.0,
             dirichlet=dirichlet_ball(ball, 4),
-            neumann=Spectrum(ProblemKind.NEUMANN, n, (0.0, 1.0, 2.0, 3.0), f"ball{n}", Provenance.CLOSED_FORM),
+            neumann=synthetic(ProblemKind.NEUMANN, (0.0, 1.0, 2.0, 3.0)),
             clamped=clamped_ball(ball, 2),
         )
         with pytest.raises(ValueError, match="dimension"):
@@ -215,7 +214,7 @@ class TestBuckling:
         assert r.rhs == 2.5
         assert abs(r.lhs - 1.796) < 1e-2
         assert r.holds
-        r4 = check("ppw_buckling", alone(Spectrum(ProblemKind.BUCKLING, 4, (1.0, 1.5), "ball4", Provenance.CLOSED_FORM)))
+        r4 = check("ppw_buckling", alone(synthetic(ProblemKind.BUCKLING, (1.0, 1.5)), dimension=4))
         assert r4.rhs == 2.0
 
     def test_sum_buckling_needs_n_plus_one(self, disk_bundle):
@@ -263,7 +262,7 @@ class TestEvaluateAll:
         # a spectrum crafted to violate the Polya Neumann conjecture
         bundle = DomainSpectra(
             "weird", 2, 1.0,
-            neumann=synthetic(ProblemKind.NEUMANN, (0.0, 50.0, 60.0), "weird"),
+            neumann=synthetic(ProblemKind.NEUMANN, (0.0, 50.0, 60.0)),
         )
         reports = evaluate_all(bundle, m_max=2, k_max=2)
         polya = [r for r in reports if r.id == "polya_neumann"]
@@ -287,8 +286,7 @@ class TestEvaluateAll:
         assert a == b
 
     def test_every_report_carries_the_bundle_label(self, disk_bundle):
-        # the closed-form ball spectra are labelled "ball(n=2, R=1)"
-        assert disk_bundle.dirichlet.domain_label != "disk"
+        # the bundle is the one place a domain's label lives
         assert {r.domain for r in evaluate_all(disk_bundle, m_max=5)} == {"disk"}
         assert chain_check(disk_bundle, 1).domain == "disk"
 

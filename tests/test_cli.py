@@ -148,6 +148,17 @@ class TestVerify:
         spectra = read_csv(out / "spectra.csv")
         assert {r["provenance"] for r in spectra} == {"discrete", "discrete_extrapolated"}
 
+    def test_spectra_domain_is_the_config_label_else_the_shape_label(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json", domains=[
+            {"shape": {"type": "rectangle", "width": 1.0, "height": 1.0}, "label": "unit_square"},
+            {"shape": {"type": "rectangle", "width": 1.0, "height": 0.5}},
+        ])
+        out = tmp_path / "out"
+        assert main(["--output-dir", str(out), "verify", str(cfg)]) == 0
+        spectra = read_csv(out / "spectra.csv")
+        assert [r["domain"] for r in spectra] == ["rectangle(1x0.5)"] * 12 + ["unit_square"] * 12
+        assert {r["domain"] for r in read_csv(out / "inequalities.csv")} == {"rectangle(1x0.5)", "unit_square"}
+
     def test_byte_reproducible(self, tmp_path):
         cfg = write_config(tmp_path / "c.json")
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -255,7 +266,7 @@ class TestVerify:
 
             def fixed(op, m, factors=None, lam2=lam2):
                 values = (lam1, lam2, *(lam2 + k for k in range(1, m - 1)))
-                return Spectrum(op.kind, 2, values, op.domain.label, Provenance.DISCRETE, op.h)
+                return Spectrum(op.kind, values, Provenance.DISCRETE, op.h)
 
             monkeypatch.setattr(solve_module, "smallest_eigs", fixed)
             cfg = write_config(tmp_path / "c.json", inequalities=["fixed_lambda1"])
@@ -315,6 +326,11 @@ class TestSpectrumCommand:
         ext = [r for r in rows if r["provenance"] == "discrete_extrapolated"]
         assert abs(float(ext[0]["value"]) - 2.0 * math.pi**2) < 0.01
 
+    def test_domain_is_the_shape_label(self, tmp_path):
+        assert main(["--output-dir", str(tmp_path), "spectrum", "--shape", '{"type": "disk", "radius": 1.0}',
+                     "--problem", "dirichlet", "--h", "0.125", "--levels", "2", "--m", "2"]) == 0
+        assert {r["domain"] for r in read_csv(tmp_path / "spectrum.csv")} == {"disk(r=1)"}
+
     def test_bad_shape_json(self, tmp_path, capsys):
         assert main(["--output-dir", str(tmp_path), "spectrum", "--shape", "{oops",
                      "--problem", "dirichlet", "--h", "0.25"]) == 2
@@ -354,8 +370,14 @@ class TestSpectrumCommand:
     '{"type": "rectangle", "width": 0.0, "height": 1.0}',
     '{"type": "polygon", "vertices": [[0, 0], [1, 1], [2, 2]]}',
     '{"type": "polygon", "vertices": [[0, 0], [1, 0], [1, 1], [0, 1]], "vertex": [[9, 9]]}',
+    # finite sizes whose area overflows a float
+    '{"type": "disk", "radius": 1e200}',
+    '{"type": "rectangle", "width": 1e200, "height": 1e200}',
+    '{"type": "ellipse", "a": 1e160, "b": 1e160}',
+    '{"type": "polygon", "vertices": [[0, 0], [1e200, 0], [0, 1e200]]}',
 ], ids=["disk_string", "disk_inf", "disk_bool", "ellipse_nan", "rectangle_string", "annulus_inf", "polygon_inf",
-        "polygon_string", "disk_negative", "ellipse_zero", "rectangle_zero", "polygon_collinear", "polygon_stray_key"])
+        "polygon_string", "disk_negative", "ellipse_zero", "rectangle_zero", "polygon_collinear", "polygon_stray_key",
+        "disk_area_overflow", "rectangle_area_inf", "ellipse_area_inf", "polygon_area_inf"])
 @pytest.mark.parametrize("command", ["spectrum", "verify"])
 def test_non_finite_shape_parameter_is_usage_error(tmp_path, capsys, shape, command):
     out = tmp_path / "out"

@@ -1,5 +1,6 @@
 """Rasterization, operator assembly and eigensolver against exact references."""
 
+import dataclasses
 import gc
 import math
 import os
@@ -386,8 +387,6 @@ class TestExtrapolate:
     def test_fixed_point(self):
         h = 1.0 / 8.0
         s = smallest_eigs(assemble(rasterize(Rectangle(1.0, 1.0), h), ProblemKind.DIRICHLET), 2)
-        import dataclasses
-
         fake_coarse = dataclasses.replace(s, mesh_h=2 * h)
         ext = extrapolate(fake_coarse, s)
         assert ext.values == s.values
@@ -398,11 +397,14 @@ class TestExtrapolate:
         assert abs(ext.values[0] - 2.0 * math.pi**2) / (2.0 * math.pi**2) < 1e-4
 
     def test_metadata_mismatch_rejected(self):
-        sa, _ = solve_shape(Rectangle(1.0, 1.0), {ProblemKind.DIRICHLET: 2}, 1.0 / 8.0, 2)[ProblemKind.DIRICHLET]
-        sb, _ = solve_shape(Rectangle(1.0, 2.0), {ProblemKind.DIRICHLET: 2}, 1.0 / 8.0, 2)[ProblemKind.DIRICHLET]
-        with pytest.raises(ValueError):
-            extrapolate(sa[0], sb[1])
-        with pytest.raises(ValueError):
+        solved = solve_shape(Rectangle(1.0, 1.0), {ProblemKind.DIRICHLET: 2, ProblemKind.NEUMANN: 2}, 1.0 / 8.0, 2)
+        sa, _ = solved[ProblemKind.DIRICHLET]
+        sn, _ = solved[ProblemKind.NEUMANN]
+        with pytest.raises(ValueError, match="kinds"):
+            extrapolate(sa[0], sn[1])
+        with pytest.raises(ValueError, match="lengths"):
+            extrapolate(sa[0], dataclasses.replace(sa[1], values=sa[1].values[:1]))
+        with pytest.raises(ValueError, match="ratio"):
             extrapolate(sa[1], sa[0])  # wrong ratio direction
 
     def test_convergence_order_on_square(self):

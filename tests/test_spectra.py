@@ -1,38 +1,38 @@
-"""Spectrum type invariants."""
+"""Spectrum and DomainSpectra invariants."""
 
 import pytest
 
-from eigenineq.spectra import ProblemKind, Provenance, Spectrum
+from eigenineq.spectra import DomainSpectra, ProblemKind, Provenance, Spectrum
 
 
 def test_sorted_and_positive_enforced():
     with pytest.raises(ValueError):
-        Spectrum(ProblemKind.DIRICHLET, 2, (2.0, 1.0), "x", Provenance.CLOSED_FORM)
+        Spectrum(ProblemKind.DIRICHLET, (2.0, 1.0), Provenance.CLOSED_FORM)
     with pytest.raises(ValueError):
-        Spectrum(ProblemKind.DIRICHLET, 2, (-1.0, 1.0), "x", Provenance.CLOSED_FORM)
+        Spectrum(ProblemKind.DIRICHLET, (-1.0, 1.0), Provenance.CLOSED_FORM)
     with pytest.raises(ValueError):
-        Spectrum(ProblemKind.CLAMPED, 2, (0.0, 1.0), "x", Provenance.CLOSED_FORM)
+        Spectrum(ProblemKind.CLAMPED, (0.0, 1.0), Provenance.CLOSED_FORM)
 
 
 def test_dirichlet_first_eigenvalue_simple():
     with pytest.raises(ValueError):
-        Spectrum(ProblemKind.DIRICHLET, 2, (1.0, 1.0), "x", Provenance.CLOSED_FORM)
-    s = Spectrum(ProblemKind.DIRICHLET, 2, (1.0, 2.0, 2.0), "x", Provenance.CLOSED_FORM)
+        Spectrum(ProblemKind.DIRICHLET, (1.0, 1.0), Provenance.CLOSED_FORM)
+    s = Spectrum(ProblemKind.DIRICHLET, (1.0, 2.0, 2.0), Provenance.CLOSED_FORM)
     assert len(s) == 3
 
 
 def test_neumann_zero_mode_rules():
-    s = Spectrum(ProblemKind.NEUMANN, 2, (0.0, 3.0), "x", Provenance.CLOSED_FORM)
+    s = Spectrum(ProblemKind.NEUMANN, (0.0, 3.0), Provenance.CLOSED_FORM)
     assert s.values[0] == 0.0
-    Spectrum(ProblemKind.NEUMANN, 2, (1e-9, 3.0), "x", Provenance.DISCRETE)  # tiny residual fine
+    Spectrum(ProblemKind.NEUMANN, (1e-9, 3.0), Provenance.DISCRETE)  # tiny residual fine
     with pytest.raises(ValueError):
-        Spectrum(ProblemKind.NEUMANN, 2, (0.5, 3.0), "x", Provenance.CLOSED_FORM)
+        Spectrum(ProblemKind.NEUMANN, (0.5, 3.0), Provenance.CLOSED_FORM)
 
 
 def test_dimension_and_emptiness():
+    with pytest.raises(ValueError, match="dimension"):
+        DomainSpectra("x", 1, 1.0)
     with pytest.raises(ValueError):
-        Spectrum(ProblemKind.DIRICHLET, 1, (1.0,), "x", Provenance.CLOSED_FORM)
+        Spectrum(ProblemKind.DIRICHLET, (), Provenance.CLOSED_FORM)
     with pytest.raises(ValueError):
-        Spectrum(ProblemKind.DIRICHLET, 2, (), "x", Provenance.CLOSED_FORM)
-    with pytest.raises(ValueError):
-        Spectrum(ProblemKind.DIRICHLET, 2, (float("nan"),), "x", Provenance.CLOSED_FORM)
+        Spectrum(ProblemKind.DIRICHLET, (float("nan"),), Provenance.CLOSED_FORM)
