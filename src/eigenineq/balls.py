@@ -23,7 +23,7 @@ import numpy as np
 from scipy import special
 
 from . import specfun
-from .spectra import ProblemKind, Provenance, Spectrum
+from .spectra import ProblemKind, Provenance, Spectrum, require_dimension
 from .specfun._zeros import scan_zeros
 
 
@@ -45,8 +45,7 @@ class BallSpec:
     radius: float = 1.0
 
     def __post_init__(self):
-        if self.dimension < 2 or self.dimension != int(self.dimension):
-            raise ValueError(f"dimension must be an integer >= 2, got {self.dimension}")
+        require_dimension(self.dimension)
         if not (self.radius > 0.0 and math.isfinite(self.radius)):
             raise ValueError(f"radius must be positive, got {self.radius}")
 

@@ -6,10 +6,10 @@ shape. Every shape carries an exact area; `rasterize` rejects a mask
 whose node-count area misses it by more than a bound set by the mask's
 own boundary.
 
-`rasterize` also locates the boundary along every link from a mask node
-to a node outside the shape: the boundary cuts that link at theta h,
-0 < theta <= 1, found by bisection on `contains`, so no shape needs
-more than its `contains`. Each node's Dirichlet diagonal, the sum over
+A rasterized domain also locates the boundary along every link from a
+mask node to a node outside the shape: the boundary cuts that link at
+theta h, 0 < theta <= 1, found by bisection on `contains`, so no shape
+needs more than its `contains`. Each node's Dirichlet diagonal, the sum over
 its four links of 1 (or 1/theta for a cut link), is the symmetric
 ghost-fluid closure (Gibou, Fedkiw, Cheng & Kang, J. Comput. Phys. 176,
 2002), second order in h where the staircase mask alone is first order.
@@ -18,11 +18,12 @@ The Neumann problem lives on cut cells instead (`CellGeometry`): every
 node whose dual cell [x +- h/2] x [y +- h/2] meets the shape, with the
 cell's inside area fraction and the inside fraction (aperture) of each
 dual edge, found by the same bisection along the dual edges. This
-geometry is computed on first use (`GridDomain.cells`), so runs with no
-Neumann problem never pay for it; `rasterize` only sizes the lattice box
-to hold every such node.
+geometry, like the Dirichlet diagonal, is computed on first use
+(`GridDomain.cells`, `GridDomain.dirichlet_diagonal`), so a run pays
+only for the problems it solves.
 """
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, fields
@@ -234,7 +235,11 @@ Shape = Disk | Ellipse | Rectangle | LShape | Annulus | Polygon
 
 
 class GridDomain:
-    """Rasterized planar domain: interior-node mask, mesh width, exact area.
+    """A shape's interior-node mask on the lattice box whose first node is (i0, j0), at mesh width h.
+
+    `rasterize` is the only builder: ``mask`` is the box it sampled, and
+    everything else comes from ``shape`` (``label``, ``area_exact``, and
+    the lazy geometry below).
 
     ``links`` holds the x- and y-link matrices (adjacency along each axis)
     of the mask's lattice box padded by one exterior ring, and ``padded``
@@ -245,58 +250,50 @@ class GridDomain:
 
     ``dirichlet_diagonal`` holds, per interior node in mask order, the sum
     over its four lattice links of 1, or 1/theta for a link that the
-    boundary cuts at theta h. `rasterize` computes it from the shape; a
-    domain built from a bare mask has no boundary to locate and gets 4
-    everywhere, the staircase closure with zero values on the exterior
-    nodes.
-
-    ``cells`` is the Neumann cut-cell geometry on the padded box
-    (`CellGeometry`), computed from ``shape`` on first use, so a domain
-    that never assembles a Neumann operator never pays for it. A domain
-    with no shape (a bare mask) gets fraction 1 on the mask nodes and
-    aperture 1 on the links between them, the mask's graph Laplacian.
+    boundary cuts at theta h. ``cells`` is the Neumann cut-cell geometry
+    on the padded box (`CellGeometry`). Both are computed from ``shape``
+    on first use, so a domain pays only for the operators it assembles.
     """
 
-    def __init__(self, mask, h, area_exact, label, x0, y0, dirichlet_diagonal=None, shape=None):
-        self.mask = np.asarray(mask, dtype=bool)
+    def __init__(self, shape, h, mask, i0, j0):
+        self.shape = shape
         self.h = float(h)
-        self.area_exact = float(area_exact)
-        self.label = str(label)
-        self.x0 = float(x0)
-        self.y0 = float(y0)
+        self.mask = np.asarray(mask, dtype=bool)
+        self.i0, self.j0 = int(i0), int(j0)
         self.node_count = int(self.mask.sum())
-        self.dirichlet_diagonal = (np.full(self.node_count, 4.0) if dirichlet_diagonal is None
-                                   else np.asarray(dirichlet_diagonal, dtype=float))
         padded = np.pad(self.mask, 1)
         self.padded = padded.ravel()
         nx, ny = padded.shape
         self.links = (sparse.kron(_path(nx), sparse.identity(ny), format="csr"),
                       sparse.kron(sparse.identity(nx), _path(ny), format="csr"))
         self.adjacency = self.restrict(sum(self.links))
-        self.shape = shape
-        self._cells = None
+
+    @property
+    def label(self):
+        return self.shape.label
+
+    @property
+    def area_exact(self):
+        return float(self.shape.area)
 
     def restrict(self, matrix):
         """Rows and columns of a padded-box matrix at the interior nodes, in mask order."""
         return matrix[self.padded][:, self.padded]
 
-    @property
+    @functools.cached_property
+    def dirichlet_diagonal(self):
+        return _dirichlet_diagonal(self.shape, self.mask, self.i0, self.j0, self.h)
+
+    @functools.cached_property
     def cells(self):
-        """The `CellGeometry` of the padded box: from ``shape``, or from the mask alone; computed once."""
-        if self._cells is None:
-            inside = np.pad(self.mask, 1)
-            if self.shape is None:
-                self._cells = CellGeometry(inside.astype(float), (inside[:-1] & inside[1:]).astype(float),
-                                           (inside[:, :-1] & inside[:, 1:]).astype(float))
-            else:
-                self._cells = _cell_geometry(self.shape, round(self.x0 / self.h) - 1,
-                                             round(self.y0 / self.h) - 1, inside.shape, self.h)
-        return self._cells
+        """The `CellGeometry` of the padded box."""
+        rows, cols = self.mask.shape
+        return _cell_geometry(self.shape, self.i0 - 1, self.j0 - 1, (rows + 2, cols + 2), self.h)
 
     def node_coordinates(self):
-        """ (x, y) arrays of the interior nodes, in mask (row-major) order."""
+        """ (x, y) arrays of the interior nodes, in mask (row-major) order: the points `rasterize` sampled."""
         ii, jj = np.nonzero(self.mask)
-        return self.x0 + ii * self.h, self.y0 + jj * self.h
+        return (self.i0 + ii) * self.h, (self.j0 + jj) * self.h
 
     @property
     def area_discrete(self):
@@ -435,7 +432,7 @@ def _cell_geometry(shape, i0, j0, box, h):
 
 
 def rasterize(shape: Shape, h: float) -> GridDomain:
-    """Mask of lattice nodes strictly inside the shape, with each node's Dirichlet diagonal.
+    """Mask of lattice nodes strictly inside the shape, on the lattice box sampled around its bbox.
 
     Nodes with no interior 4-neighbour are dropped first: they couple to
     nothing, so each would be a mask component of its own (an acute
@@ -450,42 +447,25 @@ def rasterize(shape: Shape, h: float) -> GridDomain:
     boundary stretch of about h, so the bound is O(perimeter h) without
     asking the shape for its perimeter.
 
-    The domain's `dirichlet_diagonal` comes from `_dirichlet_diagonal`. A
+    The sampled box reaches one node past the bbox on every side, so,
+    padded by one more ring, it holds every mask node's four neighbours
+    and every node whose dual cell meets the shape. The domain's
+    `dirichlet_diagonal` and cut cells are computed on first use; a
     lattice-aligned edge passes through the exterior nodes, so theta = 1
     there and the diagonal is exactly 4.
-
-    The mask's box is trimmed to the mask, but no closer than one node
-    inside the range whose dual cells can meet the shape's bbox, so the
-    padded box holds every Neumann cut-cell node; the cell geometry
-    itself waits for `GridDomain.cells`.
     """
     if not (h > 0.0 and math.isfinite(h)):
         raise RasterizeError(f"mesh width must be positive, got {h}")
     xmin, xmax, ymin, ymax = shape.bbox
-    i_lo, i_hi = math.floor(xmin / h) - 1, math.ceil(xmax / h) + 1
-    j_lo, j_hi = math.floor(ymin / h) - 1, math.ceil(ymax / h) + 1
-    ii = np.arange(i_lo, i_hi + 1)
-    jj = np.arange(j_lo, j_hi + 1)
-    x = (ii * h)[:, None]
-    y = (jj * h)[None, :]
-    mask = shape.contains(x, y)
+    i0, j0 = math.floor(xmin / h) - 1, math.floor(ymin / h) - 1
+    ii = np.arange(i0, math.ceil(xmax / h) + 2)
+    jj = np.arange(j0, math.ceil(ymax / h) + 2)
+    mask = shape.contains((ii * h)[:, None], (jj * h)[None, :])
     pad = np.pad(mask, 1)  # a node with no interior 4-neighbour carries no stencil: drop it
     mask &= pad[:-2, 1:-1] | pad[2:, 1:-1] | pad[1:-1, :-2] | pad[1:-1, 2:]
     if not mask.any():
         raise RasterizeError(f"empty mask for {shape.label} at h={h}")
-    diagonal = _dirichlet_diagonal(shape, mask, i_lo, j_lo, h)
-    rows = np.nonzero(mask.any(axis=1))[0]
-    cols = np.nonzero(mask.any(axis=0))[0]
-    # the padded box also holds every node whose dual cell can meet the
-    # shape: x + h/2 >= xmin and x - h/2 <= xmax
-    r0 = min(rows[0], math.ceil(xmin / h - 0.5) + 1 - i_lo)
-    r1 = max(rows[-1], math.floor(xmax / h + 0.5) - 1 - i_lo)
-    c0 = min(cols[0], math.ceil(ymin / h - 0.5) + 1 - j_lo)
-    c1 = max(cols[-1], math.floor(ymax / h + 0.5) - 1 - j_lo)
-    mask = mask[r0 : r1 + 1, c0 : c1 + 1]
-    x0 = (i_lo + r0) * h
-    y0 = (j_lo + c0) * h
-    domain = GridDomain(mask, h, shape.area, shape.label, x0, y0, diagonal, shape)
+    domain = GridDomain(shape, h, mask, i0, j0)
     ncomp = connected_components(domain.adjacency, directed=False)[0]
     if ncomp != 1:
         raise RasterizeError(f"mask for {shape.label} at h={h} has {ncomp} components")

@@ -24,8 +24,7 @@ rows and columns (`GridDomain.restrict`) and adj = R(ax + ay)
   cell's inside area fraction, so S K S is the symmetric form of the
   pencil (K, diag(f)). The zero normal derivative is natural: no
   boundary row is written. Bulk cells have f = 1 and apertures 1, the
-  5-point stencil; a bare mask gets f = 1 and aperture 1 on its links,
-  the mask's graph Laplacian.
+  5-point stencil.
 - Clamped: (R(L^2) + 2 diag(G) - G) / h^4, the 13-point bi-Laplacian.
   L = 4 I - ax - ay is the padded-box Laplacian and
   G = R(ax E ax + ay E ay), with E = diag(exterior), counts exterior
@@ -56,7 +55,6 @@ class DiscreteOperator:
 
     matrix: sparse.csr_matrix
     kind: ProblemKind
-    h: float
     domain: GridDomain
     mass: sparse.csr_matrix | None = None  # buckling: Dirichlet Laplacian
 
@@ -102,7 +100,7 @@ def _bilaplacian_clamped(domain):
 def buckling(operator) -> DiscreteOperator:
     """The buckling pair (clamped bi-Laplacian, Dirichlet Laplacian mass) from ``operator(kind)``."""
     plate, membrane = operator(ProblemKind.CLAMPED), operator(ProblemKind.DIRICHLET)
-    return DiscreteOperator(plate.matrix, ProblemKind.BUCKLING, plate.h, plate.domain, membrane.matrix)
+    return DiscreteOperator(plate.matrix, ProblemKind.BUCKLING, plate.domain, membrane.matrix)
 
 
 def assemble(domain: GridDomain, kind: ProblemKind) -> DiscreteOperator:
@@ -120,4 +118,4 @@ def assemble(domain: GridDomain, kind: ProblemKind) -> DiscreteOperator:
     asym = abs(a - a.T)
     if asym.nnz and asym.max() > 0.0:
         raise AssertionError(f"non-symmetric assembly for {kind} on {domain.label}")
-    return DiscreteOperator(a, kind, domain.h, domain)
+    return DiscreteOperator(a, kind, domain)

@@ -59,8 +59,8 @@ def _operator_scale(op):
     loosen the gate by that factor.
     """
     if op.kind in (ProblemKind.CLAMPED, ProblemKind.BUCKLING):
-        return 20.0 / op.h**4
-    return 4.0 / op.h**2
+        return 20.0 / op.domain.h**4
+    return 4.0 / op.domain.h**2
 
 
 def _factor_spd(matrix):
@@ -125,7 +125,8 @@ def smallest_eigs(op: DiscreteOperator, m: int, factors: dict | None = None) -> 
         # the resolved zero mode is exactly 0; its round-off residue would
         # change sign and digits with the factorization
         vals[0] = 0.0
-    return Spectrum(kind=op.kind, values=tuple(float(v) for v in vals), provenance=Provenance.DISCRETE, mesh_h=op.h)
+    return Spectrum(kind=op.kind, values=tuple(float(v) for v in vals), provenance=Provenance.DISCRETE,
+                    mesh_h=op.domain.h)
 
 
 def extrapolate(coarse: Spectrum, fine: Spectrum) -> Spectrum:
@@ -197,16 +198,22 @@ def solve_shape(shape: Shape, problems: Mapping[ProblemKind, int], h: float, lev
     spectra = {kind: [] for kind in problems}
     failed = {}
     for lev in range(levels):
-        domain, ops, factors = None, {}, {}
-        for kind, m in problems.items():
-            if kind not in failed:
-                try:
-                    domain = domain or rasterize(shape, h / 2**lev)
-                    # only the plates share a factor; a membrane's is freed when its solve returns
-                    shared = factors if kind in (ProblemKind.CLAMPED, ProblemKind.BUCKLING) else None
-                    spectra[kind].append(smallest_eigs(_operator(domain, kind, ops), m, shared))
-                except Exception as exc:
-                    failed[kind] = exc
+        solving = [kind for kind in problems if kind not in failed]
+        if not solving:
+            break
+        try:
+            domain = rasterize(shape, h / 2**lev)
+        except Exception as exc:
+            failed.update(dict.fromkeys(solving, exc))
+            break
+        ops, factors = {}, {}
+        for kind in solving:
+            try:
+                # only the plates share a factor; a membrane's is freed when its solve returns
+                shared = factors if kind in (ProblemKind.CLAMPED, ProblemKind.BUCKLING) else None
+                spectra[kind].append(smallest_eigs(_operator(domain, kind, ops), problems[kind], shared))
+            except Exception as exc:
+                failed[kind] = exc
     return {kind: failed[kind] if kind in failed else (spectra[kind], extrapolate(*spectra[kind][-2:]))
             for kind in problems}
 

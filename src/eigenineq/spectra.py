@@ -2,6 +2,7 @@
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 
 
@@ -16,6 +17,12 @@ class Provenance(enum.Enum):
     CLOSED_FORM = "closed_form"
     DISCRETE = "discrete"
     DISCRETE_EXTRAPOLATED = "discrete_extrapolated"
+
+
+def require_dimension(n):
+    """Raise ValueError unless n is an integer >= 2: a numpy integer will do, a float (even 3.0) will not."""
+    if not isinstance(n, numbers.Integral) or n < 2:
+        raise ValueError(f"dimension must be an integer >= 2, got {n!r}")
 
 
 @dataclass(frozen=True)
@@ -73,5 +80,4 @@ class DomainSpectra:
     buckling: Spectrum | None = None
 
     def __post_init__(self):
-        if self.dimension < 2:
-            raise ValueError(f"dimension must be >= 2, got {self.dimension}")
+        require_dimension(self.dimension)

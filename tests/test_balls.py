@@ -191,6 +191,10 @@ def test_input_validation():
         clamped_ball(BallSpec(2), 0)
     with pytest.raises(ValueError):
         BallSpec(1)
+    for bad in (3.0, 2.5, True):  # a float dimension would otherwise fail later, in harmonic_multiplicity
+        with pytest.raises(ValueError, match="dimension"):
+            BallSpec(bad)
+    assert dirichlet_ball(BallSpec(np.int64(3)), 5) == dirichlet_ball(BallSpec(3), 5)
     with pytest.raises(ValueError):
         BallSpec(2, -1.0)
     with pytest.raises(ValueError):

@@ -266,7 +266,7 @@ class TestVerify:
 
             def fixed(op, m, factors=None, lam2=lam2):
                 values = (lam1, lam2, *(lam2 + k for k in range(1, m - 1)))
-                return Spectrum(op.kind, values, Provenance.DISCRETE, op.h)
+                return Spectrum(op.kind, values, Provenance.DISCRETE, op.domain.h)
 
             monkeypatch.setattr(solve_module, "smallest_eigs", fixed)
             cfg = write_config(tmp_path / "c.json", inequalities=["fixed_lambda1"])

@@ -1,5 +1,6 @@
 """Spectrum and DomainSpectra invariants."""
 
+import numpy as np
 import pytest
 
 from eigenineq.spectra import DomainSpectra, ProblemKind, Provenance, Spectrum
@@ -32,6 +33,10 @@ def test_neumann_zero_mode_rules():
 def test_dimension_and_emptiness():
     with pytest.raises(ValueError, match="dimension"):
         DomainSpectra("x", 1, 1.0)
+    for bad in (2.5, 3.0, True):
+        with pytest.raises(ValueError, match="dimension"):
+            DomainSpectra("x", bad, 1.0)
+    assert DomainSpectra("x", np.int64(3), 1.0).dimension == 3
     with pytest.raises(ValueError):
         Spectrum(ProblemKind.DIRICHLET, (), Provenance.CLOSED_FORM)
     with pytest.raises(ValueError):
