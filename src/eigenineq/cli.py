@@ -24,7 +24,7 @@ from pathlib import Path
 
 from .catalog import CATALOG, CONJECTURE, PROVEN, evaluate_all
 from .grid.domain import Annulus, Disk, Ellipse, LShape, Polygon, Rectangle, Shape, _finite_real
-from .grid.solve import SolverError, solve_domain
+from .grid.solve import SolverError, solve_shape
 from .spectra import ProblemKind
 from .twoball import TALENTI_D_PRIME, c_constant, curve_table, d_constants
 
@@ -33,6 +33,7 @@ _SUMMARY_VERSION = 1
 _CONFIG_KEYS = {"schema_version", "domains", "problems", "mesh", "m_max", "k_max", "inequalities", "output_dir"}
 _MESH_KEYS = {"h", "levels"}
 _DOMAIN_KEYS = {"shape", "label"}
+_K_MAX = 10  # the k_max a config without one runs
 
 
 class ConfigError(ValueError):
@@ -160,7 +161,7 @@ def load_config(path: str) -> dict:
         raise ConfigError("mesh.levels must be >= 2 (extrapolation needs two levels)")
     if _integer(cfg.get("m_max", 0), "m_max") < 1:
         raise ConfigError("m_max must be >= 1")
-    if _integer(cfg.get("k_max", 0), "k_max") < 0:
+    if _integer(cfg.get("k_max", _K_MAX), "k_max") < 0:
         raise ConfigError("k_max must be >= 0")
     for d in domains:
         if not isinstance(d, dict):
@@ -193,7 +194,7 @@ def run_verify(config: dict, output_dir: str, tolerance_scale: float = 1.0, work
     h = float(config["mesh"]["h"])
     levels = int(config["mesh"]["levels"])
     m_max = int(config["m_max"])
-    k_max = int(config.get("k_max", 10))
+    k_max = int(config.get("k_max", _K_MAX))
     ids = config.get("inequalities")
     problems = [ProblemKind(p) for p in config["problems"]]
     shapes = [parse_shape(d["shape"]) for d in config["domains"]]
@@ -211,7 +212,7 @@ def run_verify(config: dict, output_dir: str, tolerance_scale: float = 1.0, work
     wanted = {problem: m_for(problem) for problem in problems}
     by_area = sorted(domains, key=lambda d: d[1].area, reverse=True)
     with concurrent.futures.ThreadPoolExecutor(max_workers=workers or os.cpu_count() or 1) as pool:
-        solved = list(pool.map(lambda d: solve_domain(*d, wanted, h, levels), by_area))
+        solved = list(pool.map(lambda d: solve_shape(*d, wanted, h, levels), by_area))
     errors = [{"domain": bundle.label, "problem": problem.value, "error": str(exc)}
               for bundle, _, failed in solved for problem, exc in failed.items()]
     _write_spectra(out / "spectra.csv", [(bundle, per_level) for bundle, per_level, _ in solved])
@@ -307,7 +308,7 @@ def run_spectrum(shape_desc: str, problem: str, h: float, levels: int, m: int, o
     shape = parse_shape(desc)
     kind = ProblemKind(problem)
     try:
-        bundle, per_level, errors = solve_domain(shape.label, shape, {kind: m}, h, levels)
+        bundle, per_level, errors = solve_shape(shape.label, shape, {kind: m}, h, levels)
         if kind in errors:
             raise errors[kind]
     except ValueError as exc:  # a shape that does not rasterize, or levels or m the mesh cannot give

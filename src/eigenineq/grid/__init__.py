@@ -17,9 +17,7 @@ from .solve import (
     SolverError,
     extrapolate,
     poisson_solve,
-    rayleigh_quotient,
     smallest_eigs,
-    solve_domain,
     solve_shape,
 )
 
@@ -39,8 +37,6 @@ __all__ = [
     "extrapolate",
     "poisson_solve",
     "rasterize",
-    "rayleigh_quotient",
     "smallest_eigs",
-    "solve_domain",
     "solve_shape",
 ]

@@ -97,9 +97,8 @@ def _bilaplacian_clamped(domain):
     return a.sorted_indices() * (1.0 / domain.h**4)  # a sparse product leaves columns unsorted
 
 
-def buckling(operator) -> DiscreteOperator:
-    """The buckling pair (clamped bi-Laplacian, Dirichlet Laplacian mass) from ``operator(kind)``."""
-    plate, membrane = operator(ProblemKind.CLAMPED), operator(ProblemKind.DIRICHLET)
+def buckling(plate: DiscreteOperator, membrane: DiscreteOperator) -> DiscreteOperator:
+    """The buckling pair: the clamped ``plate``'s bi-Laplacian, the Dirichlet ``membrane``'s Laplacian as mass."""
     return DiscreteOperator(plate.matrix, ProblemKind.BUCKLING, plate.domain, membrane.matrix)
 
 
@@ -112,7 +111,7 @@ def assemble(domain: GridDomain, kind: ProblemKind) -> DiscreteOperator:
     elif kind is ProblemKind.CLAMPED:
         a = _bilaplacian_clamped(domain)
     elif kind is ProblemKind.BUCKLING:
-        return buckling(lambda part: assemble(domain, part))
+        return buckling(assemble(domain, ProblemKind.CLAMPED), assemble(domain, ProblemKind.DIRICHLET))
     else:
         raise ValueError(f"unknown problem kind {kind}")
     asym = abs(a - a.T)

@@ -1,14 +1,15 @@
 """Sparse eigenvalue solves, Richardson extrapolation and Poisson solves.
 
-`solve_shape` solves all requested problems of one shape together: per
-mesh level it rasterizes once, assembles each distinct matrix once and
-factors each distinct shifted matrix once (buckling shares the clamped
-bi-Laplacian and its factor, and the Dirichlet Laplacian as its mass).
-Only the clamped factor outlives its own solve: a membrane's factor is
-freed as soon as its eigenpairs are in, so a level holds at most one
-membrane factor besides the plate's. `solve_domain` hands one shape's
-results on as the domain's `DomainSpectra`, the one source `verify` and
-`spectrum` read.
+`solve_shape` solves all requested problems of one domain together and
+returns the domain's spectra, the one source `verify` and `spectrum`
+read: its `DomainSpectra` of extrapolated spectra, the per-level spectra
+and the error of each problem that failed. Per mesh level it rasterizes
+once, assembles each distinct matrix once and factors each distinct
+shifted matrix once (buckling shares the clamped bi-Laplacian and its
+factor, and the Dirichlet Laplacian as its mass). Only the clamped
+factor outlives its own solve: a membrane's factor is freed as soon as
+its eigenpairs are in, so a level holds at most one membrane factor
+besides the plate's.
 
 Eigenvalues come from ARPACK in shift-invert mode (shift 0 for the
 positive-definite problems, a small negative shift for Neumann so the
@@ -155,19 +156,6 @@ def extrapolate(coarse: Spectrum, fine: Spectrum) -> Spectrum:
                     provenance=Provenance.DISCRETE_EXTRAPOLATED, mesh_h=fine.mesh_h, allowance=allowance)
 
 
-def rayleigh_quotient(op: DiscreteOperator, vector) -> float:
-    """(x, A x) / (x, B x) with B the identity (or the buckling mass)."""
-    x = np.asarray(vector, dtype=float)
-    if x.shape != (op.dim,):
-        raise ValueError(f"vector shape {x.shape} does not match operator dim {op.dim}")
-    nrm2 = float(x @ x)
-    if nrm2 == 0.0:
-        raise ValueError("zero vector")
-    num = float(x @ (op.matrix @ x))
-    den = float(x @ (op.mass @ x)) if op.mass is not None else nrm2
-    return num / den
-
-
 def poisson_solve(domain: GridDomain, f_values) -> np.ndarray:
     """Solve the zero-boundary Poisson problem -Lap u = f on the domain."""
     f = np.asarray(f_values, dtype=float)
@@ -180,54 +168,43 @@ def poisson_solve(domain: GridDomain, f_values) -> np.ndarray:
 def _operator(domain, kind, ops):
     """The operator of ``kind`` on ``domain``; ``ops`` memoizes it for the level."""
     if kind not in ops:
-        ops[kind] = (buckling(lambda part: _operator(domain, part, ops)) if kind is ProblemKind.BUCKLING
-                     else assemble(domain, kind))
+        ops[kind] = (buckling(_operator(domain, ProblemKind.CLAMPED, ops),
+                              _operator(domain, ProblemKind.DIRICHLET, ops))
+                     if kind is ProblemKind.BUCKLING else assemble(domain, kind))
     return ops[kind]
 
 
-def solve_shape(shape: Shape, problems: Mapping[ProblemKind, int], h: float, levels: int):
-    """Spectra of several problems on meshes h, h/2, ..., plus their Richardson extrapolations.
+def solve_shape(label: str, shape: Shape, problems: Mapping[ProblemKind, int], h: float, levels: int):
+    """One planar domain's spectra on meshes h, h/2, ..., and their Richardson extrapolations.
 
     ``problems`` maps each problem kind to its number of eigenvalues m.
-    Returns {kind: (per-level spectra list, extrapolated spectrum from the
-    two finest levels)}, or {kind: the exception} for a kind whose solve
-    raised; the other kinds still solve.
+    Returns (bundle, per-level spectra, errors): the `DomainSpectra` of
+    the spectra extrapolated from the two finest levels, {kind: per-level
+    spectra list} and {kind: the exception its solve raised}. A kind that
+    failed is missing from the first two; the other kinds still solve.
     """
     if levels < 2:
         raise ValueError(f"extrapolation needs at least 2 mesh levels, got {levels}")
-    spectra = {kind: [] for kind in problems}
-    failed = {}
+    per_level = {kind: [] for kind in problems}
+    errors = {}
     for lev in range(levels):
-        solving = [kind for kind in problems if kind not in failed]
-        if not solving:
+        if not per_level:
             break
         try:
             domain = rasterize(shape, h / 2**lev)
         except Exception as exc:
-            failed.update(dict.fromkeys(solving, exc))
+            errors.update(dict.fromkeys(per_level, exc))
+            per_level.clear()
             break
         ops, factors = {}, {}
-        for kind in solving:
+        for kind in list(per_level):
             try:
                 # only the plates share a factor; a membrane's is freed when its solve returns
                 shared = factors if kind in (ProblemKind.CLAMPED, ProblemKind.BUCKLING) else None
-                spectra[kind].append(smallest_eigs(_operator(domain, kind, ops), problems[kind], shared))
+                per_level[kind].append(smallest_eigs(_operator(domain, kind, ops), problems[kind], shared))
             except Exception as exc:
-                failed[kind] = exc
-    return {kind: failed[kind] if kind in failed else (spectra[kind], extrapolate(*spectra[kind][-2:]))
-            for kind in problems}
-
-
-def solve_domain(label: str, shape: Shape, wanted: Mapping[ProblemKind, int], h: float, levels: int):
-    """One planar domain's spectra, the only source `verify` and `spectrum` read.
-
-    Returns (bundle, per-level spectra, errors): the `DomainSpectra` of
-    the extrapolated spectra, {kind: per-level spectra list} and {kind:
-    the exception its solve raised}. A kind that failed is missing from
-    the first two; the other kinds still solve.
-    """
-    solved = solve_shape(shape, wanted, h, levels)
-    errors = {kind: got for kind, got in solved.items() if isinstance(got, Exception)}
-    ok = {kind: got for kind, got in solved.items() if kind not in errors}
-    bundle = DomainSpectra(label, 2, shape.area, **{kind.value: ext for kind, (_, ext) in ok.items()})
-    return bundle, {kind: per_level for kind, (per_level, _) in ok.items()}, errors
+                errors[kind] = exc
+                del per_level[kind]
+    bundle = DomainSpectra(label, 2, shape.area, **{kind.value: extrapolate(*spectra[-2:])
+                                                    for kind, spectra in per_level.items()})
+    return bundle, per_level, errors

@@ -20,7 +20,6 @@ from ._zeros import ConvergenceError, scan_zeros
 __all__ = [
     "ConvergenceError",
     "bessel_j_deriv_zero",
-    "bessel_zero",
     "bessel_zeros",
 ]
 
@@ -59,11 +58,6 @@ def bessel_zeros(v, kmax=math.inf, bound=math.inf):
         i = off[0]
         raise ConvergenceError(f"zero {z[i]} of J_{nus[i]}: residual {resid[i]:.3e} exceeds {limit[i]:.3e}")
     return zeros if isinstance(v, np.ndarray) else zeros[0]
-
-
-def bessel_zero(v: float, k: int) -> float:
-    """k-th positive zero of J_v (k >= 1), absolute error well below 1e-10."""
-    return bessel_zeros(v, k)[k - 1]
 
 
 def bessel_j_deriv_zero(nu: float, k: int) -> float:

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from eigenineq.grid import Disk, Ellipse, LShape, Rectangle, solve_domain
+from eigenineq.grid import Disk, Ellipse, LShape, Rectangle, solve_shape
 from eigenineq.spectra import ProblemKind
 
 M_MAX = 8
@@ -25,7 +25,7 @@ _PLATE_MESH = (1.0 / 48.0, 2)
 
 
 def _solve(label, shape, mesh, problems):
-    bundle, _, errors = solve_domain(label, shape, problems, *mesh)
+    bundle, _, errors = solve_shape(label, shape, problems, *mesh)
     for error in errors.values():
         raise error
     return bundle

@@ -87,12 +87,12 @@ def test_criterion_5_grid_convergence():
     timings = {}
 
     t0 = time.perf_counter()
-    _, disk_dir = solve_shape(Disk(1.0), {ProblemKind.DIRICHLET: 3}, 1.0 / 64.0, 2)[ProblemKind.DIRICHLET]
+    disk_dir = solve_shape("disk", Disk(1.0), {ProblemKind.DIRICHLET: 3}, 1.0 / 64.0, 2)[0].dirichlet
     timings["disk dirichlet"] = time.perf_counter() - t0
     lam1_err = abs(disk_dir.values[0] - dirichlet_ball(BallSpec(2), 1).values[0]) / disk_dir.values[0]
 
     t0 = time.perf_counter()
-    _, disk_cl = solve_shape(Disk(1.0), {ProblemKind.CLAMPED: 1}, 1.0 / 64.0, 2)[ProblemKind.CLAMPED]
+    disk_cl = solve_shape("disk", Disk(1.0), {ProblemKind.CLAMPED: 1}, 1.0 / 64.0, 2)[0].clamped
     timings["disk clamped"] = time.perf_counter() - t0
     gamma_ref = clamped_ball(BallSpec(2), 1).values[0]
     gamma_err = abs(disk_cl.values[0] - gamma_ref) / gamma_ref

@@ -109,7 +109,7 @@ def test_grid_disk_clamped_spectrum_matches_closed_form(corpus_bundles):
 def _radial_root_cases():
     for v in (0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0):
         for k in range(1, 7):
-            yield f"j_{v},{k}", specfun.bessel_zero(v, k), lambda x, v=v: mpmath.besselj(v, x)
+            yield f"j_{v},{k}", specfun.bessel_zeros(v, kmax=k)[k - 1], lambda x, v=v: mpmath.besselj(v, x)
     for n in range(2, 9):
         for ell in (0, 1, 2) if n == 2 else (0, 1):
             nu = n / 2.0 - 1.0 + ell
@@ -151,7 +151,7 @@ def test_buckling_formula_from_volume():
     for n in (2, 3, 5):
         spec = BallSpec(n, 1.37)
         lam = buckling_ball(spec, 1).values[0]
-        pred = (unit_ball_volume(n) / spec.volume) ** (2.0 / n) * specfun.bessel_zero(n / 2.0, 1) ** 2
+        pred = (unit_ball_volume(n) / spec.volume) ** (2.0 / n) * specfun.bessel_zeros(n / 2.0, kmax=1)[0] ** 2
         assert abs(lam - pred) < 1e-10 * lam
 
 

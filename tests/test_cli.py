@@ -167,6 +167,32 @@ class TestVerify:
         for name in ("inequalities.csv", "spectra.csv", "summary.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_bytes_do_not_depend_on_workers_or_input_order(self, tmp_path):
+        domains = [
+            {"shape": {"type": "disk", "radius": 0.5}, "label": "disk"},
+            {"shape": {"type": "rectangle", "width": 1.0, "height": 1.0}, "label": "unit_square"},
+            {"shape": {"type": "l_shape", "w1": 0.5, "w2": 0.5}, "label": "l_shape"},
+        ]
+        problems = ["dirichlet", "neumann", "clamped", "buckling"]
+        runs = [(1, domains, problems), (2, domains[::-1], problems[::-1]), (3, domains[1:] + domains[:1], problems)]
+        outs = []
+        for workers, order, kinds in runs:
+            cfg = write_config(tmp_path / f"c{workers}.json", domains=order, problems=kinds,
+                               mesh={"h": 0.125, "levels": 2})
+            outs.append(tmp_path / f"w{workers}")
+            main(["--output-dir", str(outs[-1]), "verify", str(cfg), "--workers", str(workers)])
+        assert not json.loads((outs[0] / "summary.json").read_text())["solver_errors"]
+        for name in ("inequalities.csv", "spectra.csv", "summary.json"):
+            assert len({(out / name).read_bytes() for out in outs}) == 1, name
+
+    def test_missing_k_max_runs_the_default(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json", inequalities=["polya_dirichlet"])
+        without = {key: value for key, value in json.loads(cfg.read_text()).items() if key != "k_max"}
+        cfg.write_text(json.dumps(without), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["--output-dir", str(out), "verify", str(cfg)]) == 0
+        assert [r["m"] for r in read_csv(out / "inequalities.csv")] == [str(k) for k in range(1, 11)]
+
     def test_output_dir_env_override(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path / "c.json")
         monkeypatch.setenv("EIGENINEQ_OUT", str(tmp_path / "env_out"))
@@ -260,7 +286,7 @@ class TestVerify:
     def test_slack_prints_no_round_off(self, tmp_path, monkeypatch):
         # fixed_lambda1 with lambda_2 a hair below its bound: slack ~3e-6 against lhs ~50
         lam1 = 2.0 * math.pi**2
-        bound = (specfun.bessel_zero(1.0, 1) * math.sqrt(lam1) / specfun.bessel_zero(0.0, 1)) ** 2
+        bound = (specfun.bessel_zeros(1.0, kmax=1)[0] * math.sqrt(lam1) / specfun.bessel_zeros(0.0, kmax=1)[0]) ** 2
         cells = []
         for lam2 in (bound - 3e-6, math.nextafter(bound - 3e-6, 0.0)):  # one ulp apart
 

@@ -32,7 +32,6 @@ from eigenineq.grid import (
     extrapolate,
     poisson_solve,
     rasterize,
-    rayleigh_quotient,
     smallest_eigs,
     solve_shape,
 )
@@ -273,8 +272,9 @@ class TestCutCells:
             raise AssertionError("cell geometry computed")
 
         monkeypatch.setattr(domain_module, "_cell_geometry", refuse)
-        solved = solve_shape(Disk(1.0), {ProblemKind.DIRICHLET: 3, ProblemKind.BUCKLING: 2}, 1.0 / 16.0, 2)
-        assert not any(isinstance(got, Exception) for got in solved.values())
+        problems = {ProblemKind.DIRICHLET: 3, ProblemKind.BUCKLING: 2}
+        _, _, errors = solve_shape("disk", Disk(1.0), problems, 1.0 / 16.0, 2)
+        assert not errors
         with pytest.raises(AssertionError, match="cell geometry computed"):
             assemble(rasterize(Disk(1.0), 1.0 / 16.0), ProblemKind.NEUMANN)
 
@@ -393,19 +393,19 @@ class TestSmallestEigs:
 
     def test_neumann_square_zero_mode_and_mu1_within_3e_8(self):
         # measured 3.2e-9: a 9x margin
-        _, ext = solve_shape(Rectangle(1.0, 1.0), {ProblemKind.NEUMANN: 3}, 1.0 / 128.0, 2)[ProblemKind.NEUMANN]
+        ext = solve_shape("square", Rectangle(1.0, 1.0), {ProblemKind.NEUMANN: 3}, 1.0 / 128.0, 2)[0].neumann
         assert abs(ext.values[0]) <= 1e-8 * ext.values[1]
         assert abs(ext.values[1] - math.pi**2) / math.pi**2 < 3e-8
 
     def test_disk_dirichlet_extrapolates_to_bessel_zero(self):
-        _, ext = solve_shape(Disk(1.0), {ProblemKind.DIRICHLET: 3}, 1.0 / 64.0, 2)[ProblemKind.DIRICHLET]
+        ext = solve_shape("disk", Disk(1.0), {ProblemKind.DIRICHLET: 3}, 1.0 / 64.0, 2)[0].dirichlet
         ref = dirichlet_ball(BallSpec(2), 1).values[0]
         assert abs(ext.values[0] - ref) / ref < 0.005
         assert abs(ext.values[1] / ext.values[0] - 2.5387) < 5e-3
 
     def test_neumann_disk_mu1_within_1e_5(self):
         # also pins the deriv-zero root against the grid oracle; measured 1.4e-6: a 7x margin
-        _, ext = solve_shape(Disk(1.0), {ProblemKind.NEUMANN: 2}, 1.0 / 64.0, 2)[ProblemKind.NEUMANN]
+        ext = solve_shape("disk", Disk(1.0), {ProblemKind.NEUMANN: 2}, 1.0 / 64.0, 2)[0].neumann
         root_sq = specfun.bessel_j_deriv_zero(1.0, 1) ** 2
         assert abs(ext.values[1] - root_sq) / root_sq < 1e-5
 
@@ -448,13 +448,13 @@ class TestExtrapolate:
         assert ext.provenance is Provenance.DISCRETE_EXTRAPOLATED
 
     def test_square_lambda1_converges(self):
-        _, ext = solve_shape(Rectangle(1.0, 1.0), {ProblemKind.DIRICHLET: 1}, 1.0 / 32.0, 2)[ProblemKind.DIRICHLET]
+        ext = solve_shape("square", Rectangle(1.0, 1.0), {ProblemKind.DIRICHLET: 1}, 1.0 / 32.0, 2)[0].dirichlet
         assert abs(ext.values[0] - 2.0 * math.pi**2) / (2.0 * math.pi**2) < 1e-4
 
     def test_metadata_mismatch_rejected(self):
-        solved = solve_shape(Rectangle(1.0, 1.0), {ProblemKind.DIRICHLET: 2, ProblemKind.NEUMANN: 2}, 1.0 / 8.0, 2)
-        sa, _ = solved[ProblemKind.DIRICHLET]
-        sn, _ = solved[ProblemKind.NEUMANN]
+        _, per_level, _ = solve_shape("square", Rectangle(1.0, 1.0), {ProblemKind.DIRICHLET: 2, ProblemKind.NEUMANN: 2},
+                                      1.0 / 8.0, 2)
+        sa, sn = per_level[ProblemKind.DIRICHLET], per_level[ProblemKind.NEUMANN]
         with pytest.raises(ValueError, match="kinds"):
             extrapolate(sa[0], sn[1])
         with pytest.raises(ValueError, match="lengths"):
@@ -464,7 +464,8 @@ class TestExtrapolate:
 
     def test_convergence_order_on_square(self):
         # |lambda_h - extrapolated| shrinks by >= 3.5x per halving
-        spectra, _ = solve_shape(Rectangle(1.0, 1.0), {ProblemKind.DIRICHLET: 1}, 1.0 / 16.0, 3)[ProblemKind.DIRICHLET]
+        _, per_level, _ = solve_shape("square", Rectangle(1.0, 1.0), {ProblemKind.DIRICHLET: 1}, 1.0 / 16.0, 3)
+        spectra = per_level[ProblemKind.DIRICHLET]
         exact = 2.0 * math.pi**2
         errs = [abs(s.values[0] - exact) for s in spectra]
         assert errs[0] / errs[1] > 3.5 and errs[1] / errs[2] > 3.5
@@ -490,8 +491,8 @@ class TestSolveShape:
 
         for name in calls:
             counted(name)
-        solved = solve_shape(LShape(0.5, 0.5), _FOUR, 1.0 / 16.0, 2)
-        assert not any(isinstance(got, Exception) for got in solved.values())
+        _, _, errors = solve_shape("l_shape", LShape(0.5, 0.5), _FOUR, 1.0 / 16.0, 2)
+        assert not errors
         # per level: one mask; Dirichlet, Neumann and clamped matrices; the
         # buckling pair reuses the clamped factor
         assert calls == {"rasterize": 2, "assemble": 6, "_factor_spd": 6}
@@ -500,11 +501,29 @@ class TestSolveShape:
         calls = []
         real = solve_module.rasterize
         monkeypatch.setattr(solve_module, "rasterize", lambda *args: calls.append(args) or real(*args))
-        solved = solve_shape(Rectangle(0.01, 5.0), _FOUR, 0.25, 2)
+        bundle, per_level, errors = solve_shape("sliver", Rectangle(0.01, 5.0), _FOUR, 0.25, 2)
         # the first level fails for every problem, so the second is never rasterized
         assert len(calls) == 1
-        for got in solved.values():
+        assert not per_level and bundle.dirichlet is None and set(errors) == set(_FOUR)
+        for got in errors.values():
             assert isinstance(got, RasterizeError) and "empty mask" in str(got)
+
+    def test_a_problem_failing_only_on_the_finer_level_is_dropped_alone(self, monkeypatch):
+        h = 1.0 / 16.0
+        real = solve_module.smallest_eigs
+
+        def eigs(op, m, factors=None):
+            if op.kind is ProblemKind.NEUMANN and op.domain.h < h:
+                raise SolverError("injected fine-level failure")
+            return real(op, m, factors)
+
+        monkeypatch.setattr(solve_module, "smallest_eigs", eigs)
+        bundle, per_level, errors = solve_shape("disk", Disk(1.0), _FOUR, h, 2)
+        assert bundle.neumann is None and ProblemKind.NEUMANN not in per_level
+        assert list(errors) == [ProblemKind.NEUMANN]
+        assert str(errors[ProblemKind.NEUMANN]) == "injected fine-level failure"
+        for kind in _FOUR.keys() - {ProblemKind.NEUMANN}:
+            assert len(per_level[kind]) == 2 and getattr(bundle, kind.value) is not None
 
     def test_only_the_plate_factor_outlives_its_solve(self, monkeypatch):
         factors, live = [], []
@@ -526,7 +545,7 @@ class TestSolveShape:
 
         monkeypatch.setattr(solve_module, "_factor_spd", factor)
         monkeypatch.setattr(solve_module, "smallest_eigs", eigs)
-        solve_shape(Disk(1.0), _FOUR, 1.0 / 16.0, 2)
+        solve_shape("disk", Disk(1.0), _FOUR, 1.0 / 16.0, 2)
         # the Dirichlet and Neumann factors are gone before the next solve;
         # buckling still finds the clamped one
         kinds = list(_FOUR)
@@ -545,25 +564,27 @@ class TestSolveShape:
                 return self.lu.solve(rhs)
 
         monkeypatch.setattr(solve_module, "_factor_spd", lambda matrix: CountedFactor(real(matrix)))
-        solved = solve_shape(Disk(1.0), _VERIFY_M, 1.0 / 32.0, 2)
-        assert not any(isinstance(got, Exception) for got in solved.values())
+        _, _, errors = solve_shape("disk", Disk(1.0), _VERIFY_M, 1.0 / 32.0, 2)
+        assert not errors
         # ARPACK stops at _ARPACK_TOL, not at machine epsilon (516 solves)
         assert 0 < len(solves) <= 440
 
     @pytest.mark.parametrize(("shape", "h"), [(Disk(1.0), 1.0 / 32.0), (LShape(0.5, 0.5), 1.0 / 16.0)],
                              ids=["disk", "l_shape"])
     def test_arpack_tolerance_leaves_extrapolation_at_round_off(self, monkeypatch, shape, h):
-        stopped = solve_shape(shape, _VERIFY_M, h, 2)
+        stopped = solve_shape(shape.label, shape, _VERIFY_M, h, 2)[0]
         monkeypatch.setattr(solve_module, "_ARPACK_TOL", 0.0)
-        converged = solve_shape(shape, _VERIFY_M, h, 2)
+        converged = solve_shape(shape.label, shape, _VERIFY_M, h, 2)[0]
         for kind in _VERIFY_M:
-            got, want = np.array(stopped[kind][1].values), np.array(converged[kind][1].values)
+            got, want = (np.array(getattr(bundle, kind.value).values) for bundle in (stopped, converged))
             assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want)), kind
 
     def test_shared_solve_matches_single_problem_solves(self):
-        solved = solve_shape(LShape(0.5, 0.5), _FOUR, 1.0 / 16.0, 2)
+        bundle, per_level, _ = solve_shape("l_shape", LShape(0.5, 0.5), _FOUR, 1.0 / 16.0, 2)
         for kind, m in _FOUR.items():
-            assert solved[kind] == solve_shape(LShape(0.5, 0.5), {kind: m}, 1.0 / 16.0, 2)[kind]
+            alone, alone_levels, _ = solve_shape("l_shape", LShape(0.5, 0.5), {kind: m}, 1.0 / 16.0, 2)
+            assert per_level[kind] == alone_levels[kind]
+            assert getattr(bundle, kind.value) == getattr(alone, kind.value)
 
 
 # closed-form Dirichlet spectra of the swept corpus shapes (the ellipse has none)
@@ -580,7 +601,8 @@ _SWEEP_EXACT = {
 def test_dirichlet_sweep_is_second_order_and_within_its_allowance(name, h0):
     # three levels h0, h0/2, h0/4 on the off-lattice corpus shapes
     m = _VERIFY_M[ProblemKind.DIRICHLET]
-    levels, ext = solve_shape(CORPUS[name], {ProblemKind.DIRICHLET: m}, h0, 3)[ProblemKind.DIRICHLET]
+    bundle, per_level, _ = solve_shape(name, CORPUS[name], {ProblemKind.DIRICHLET: m}, h0, 3)
+    levels, ext = per_level[ProblemKind.DIRICHLET], bundle.dirichlet
     lam1 = [s.values[0] for s in levels]
     order = math.log2((lam1[0] - lam1[1]) / (lam1[1] - lam1[2]))
     assert 1.8 <= order <= 2.2
@@ -620,7 +642,8 @@ def test_neumann_sweep_is_within_its_allowance(name, h0):
     # two levels h0, h0/2: every value with a reference within 2x the
     # allowance (measured at most 0.27x, on the L-shape)
     m = _VERIFY_M[ProblemKind.NEUMANN]
-    levels, ext = solve_shape(CORPUS[name], {ProblemKind.NEUMANN: m}, h0, 2)[ProblemKind.NEUMANN]
+    bundle, per_level, _ = solve_shape(name, CORPUS[name], {ProblemKind.NEUMANN: m}, h0, 2)
+    levels, ext = per_level[ProblemKind.NEUMANN], bundle.neumann
     exact = _NEUMANN_EXACT[name](m)
     live = exact > 0.0
     err = np.abs(np.array(ext.values[: exact.size])[live] - exact[live]) / exact[live]
@@ -631,6 +654,11 @@ def test_neumann_sweep_is_within_its_allowance(name, h0):
         assert 1.8 <= math.log2(e0 / e1) <= 2.2
 
 
+def quotient(op, x):
+    """(x, A x) / (x, x) for a standard (mass-free) operator."""
+    return float(x @ (op.matrix @ x)) / float(x @ x)
+
+
 class TestRayleighQuotient:
     def test_eigenvector_reproduces_eigenvalue(self):
         d = rasterize(Rectangle(1.0, 1.0), 1.0 / 16.0)
@@ -638,10 +666,10 @@ class TestRayleighQuotient:
         lam = smallest_eigs(op, 1).values[0]
         xs, ys = d.node_coordinates()
         vec = np.sin(math.pi * xs) * np.sin(math.pi * ys)
-        assert rayleigh_quotient(op, vec) >= lam - 1e-10
+        assert quotient(op, vec) >= lam - 1e-10
         dense = op.matrix.toarray()
         w, v = np.linalg.eigh(dense)
-        assert abs(rayleigh_quotient(op, v[:, 0]) - w[0]) < 1e-10 * abs(w[0])
+        assert abs(quotient(op, v[:, 0]) - w[0]) < 1e-10 * abs(w[0])
 
     def test_random_vector_above_minimum(self):
         d = rasterize(Disk(1.0), 1.0 / 16.0)
@@ -649,20 +677,7 @@ class TestRayleighQuotient:
         lam = smallest_eigs(op, 1).values[0]
         rng = np.random.default_rng(7)
         for _ in range(5):
-            assert rayleigh_quotient(op, rng.standard_normal(op.dim)) >= lam * (1.0 - 1e-12)
-
-    def test_buckling_pair_quotient_matches_explicit_form(self):
-        d = rasterize(Disk(1.0), 1.0 / 16.0)
-        op = assemble(d, ProblemKind.BUCKLING)
-        rng = np.random.default_rng(11)
-        x = rng.standard_normal(op.dim)
-        explicit = (x @ (op.matrix @ x)) / (x @ (op.mass @ x))
-        assert abs(rayleigh_quotient(op, x) - explicit) < 1e-12 * abs(explicit)
-
-    def test_zero_vector_rejected(self):
-        op = assemble(rasterize(Rectangle(1.0, 1.0), 0.25), ProblemKind.DIRICHLET)
-        with pytest.raises(ValueError):
-            rayleigh_quotient(op, np.zeros(op.dim))
+            assert quotient(op, rng.standard_normal(op.dim)) >= lam * (1.0 - 1e-12)
 
 
 class TestInvariants:
@@ -677,19 +692,19 @@ class TestInvariants:
         shapes = [Rectangle(1.0, 1.0), Rectangle(math.sqrt(2.0), math.sqrt(0.5)), Disk(1.0 / math.sqrt(math.pi))]
         lam1 = []
         for shape in shapes:
-            _, ext = solve_shape(shape, {ProblemKind.DIRICHLET: 1}, 1.0 / 64.0, 2)[ProblemKind.DIRICHLET]
+            ext = solve_shape(shape.label, shape, {ProblemKind.DIRICHLET: 1}, 1.0 / 64.0, 2)[0].dirichlet
             lam1.append(ext.values[0])
         assert lam1[2] < lam1[0] < lam1[1]
 
     def test_buckling_positive_and_disk_ratio(self):
-        _, ext = solve_shape(Disk(1.0), {ProblemKind.BUCKLING: 2}, 1.0 / 48.0, 2)[ProblemKind.BUCKLING]
+        ext = solve_shape("disk", Disk(1.0), {ProblemKind.BUCKLING: 2}, 1.0 / 48.0, 2)[0].buckling
         assert all(v > 0.0 for v in ext.values)
         ball = buckling_ball(BallSpec(2), 2)
         assert abs(ext.values[1] / ext.values[0] - ball.values[1] / ball.values[0]) < 2e-2
 
     def test_clamped_disk_second_mode_matches_secular(self):
         # pins the l=1 assignment of the second clamped-ball eigenvalue
-        _, ext = solve_shape(Disk(1.0), {ProblemKind.CLAMPED: 2}, 1.0 / 48.0, 2)[ProblemKind.CLAMPED]
+        ext = solve_shape("disk", Disk(1.0), {ProblemKind.CLAMPED: 2}, 1.0 / 48.0, 2)[0].clamped
         ball = clamped_ball(BallSpec(2), 2)
         for got, want in zip(ext.values, ball.values):
             assert abs(got - want) / want < 0.03

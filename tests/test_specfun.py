@@ -94,15 +94,15 @@ def test_derivative_identities():
 
 
 def test_zero_values_and_ratio():
-    z = specfun.bessel_zero(0.0, 1)
+    z = specfun.bessel_zeros(0.0, kmax=1)[0]
     assert abs(z - bisect_j0_zero()) < 1e-10
-    ratio = (specfun.bessel_zero(1.0, 1) / z) ** 2
+    ratio = (specfun.bessel_zeros(1.0, kmax=1)[0] / z) ** 2
     assert abs(ratio - 2.5387) < 5e-4
 
 
 def test_half_order_zeros_are_multiples_of_pi():
     for k in (1, 2, 3, 7):
-        assert abs(specfun.bessel_zero(0.5, k) - k * math.pi) < 1e-10
+        assert abs(specfun.bessel_zeros(0.5, kmax=k)[k - 1] - k * math.pi) < 1e-10
 
 
 def test_zeros_strictly_increasing_and_interlacing():
@@ -116,7 +116,7 @@ def test_zeros_strictly_increasing_and_interlacing():
 
 def test_zero_residual_invariant():
     for v in (0.0, 0.5, 2.0, 7.5):
-        z = specfun.bessel_zero(v, 3)
+        z = specfun.bessel_zeros(v, kmax=3)[2]
         resid = abs(special.jv(v, z))
         assert resid < 1e-10 * max(1.0, abs(special.jvp(v, z)))
 

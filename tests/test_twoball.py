@@ -83,7 +83,7 @@ def test_symmetric_point_equals_single_ball_mode():
     # equation reduces to J_{n/2-1}(k a) = 0
     for n in (2, 4):
         a = 0.5 ** (1.0 / n)
-        expect = (specfun.bessel_zero(n / 2.0 - 1.0, 1) / a) ** 4
+        expect = (specfun.bessel_zeros(n / 2.0 - 1.0, kmax=1)[0] / a) ** 4
         got = J_of_a(n, a)
         assert abs(got - expect) < 1e-7 * expect
 
