@@ -26,7 +26,8 @@ from .catalog import CATALOG, CONJECTURE, PROVEN, evaluate_all
 from .grid.domain import Annulus, Disk, Ellipse, LShape, Polygon, Rectangle, Shape, _finite_real
 from .grid.solve import SolverError, solve_shape
 from .spectra import ProblemKind
-from .twoball import TALENTI_D_PRIME, c_constant, curve_table, d_constants
+from .specfun import ConvergenceError
+from .twoball import TALENTI_D_PRIME, c_constants, curve_table, d_constants
 
 _SCHEMA_VERSION = 1
 _SUMMARY_VERSION = 1
@@ -265,15 +266,16 @@ def _parse_n_list(text: str) -> list[int]:
 def run_constants(n_list, output_dir: str) -> int:
     """CSV table of c_n, d_n, the minimizing t and the endpoint value.
 
-    Every n is checked before any is solved, and the two-ball constants of
-    all n are solved in one batch.
+    Every n is checked before any is solved, and the constants of all n
+    are solved in one batch each, before the output directory is created.
     """
     ns = sorted(set(n_list))
     for n in ns:
         if n < 2:
             raise ConfigError(f"dimensions must be >= 2, got {n}")
     ds = d_constants(ns)
-    rows = [(n, c_constant(n), d.d_n, d.minimizer_t, d.ball_value, TALENTI_D_PRIME.get(n)) for n, d in ds.items()]
+    cs = c_constants(ns)
+    rows = [(n, cs[n], d.d_n, d.minimizer_t, d.ball_value, TALENTI_D_PRIME.get(n)) for n, d in ds.items()]
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "constants.csv", ["n", "c_n", "d_n", "minimizer_t", "J_endpoint", "d_prime_ref"], rows)
@@ -362,7 +364,7 @@ def main(argv=None) -> int:
             return run_curve(args.n, args.points, _output_dir(args))
         if args.command == "spectrum":
             return run_spectrum(args.shape, args.problem, args.h, args.levels, args.m, _output_dir(args))
-    except (ConfigError, SolverError) as exc:
+    except (ConfigError, SolverError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError("unreachable")

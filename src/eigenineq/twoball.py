@@ -120,7 +120,7 @@ def _J_many(n, a, k0) -> np.ndarray:
 
     `n`, `a` and `k0` (the clamped unit-ball root of each n) broadcast
     against each other, so one batch can mix dimensions: `d_constants`
-    solves every n's t-grid as one (n, t) array, and the result keeps
+    solves every n's half t-grid as one (n, t) array, and the result keeps
     the broadcast shape.
     Near-degenerate endpoints (min(a, b) < 1e-3) take the analytic
     endpoint value k0^4. Every other radius is one row of a `scan_zeros`
@@ -165,39 +165,51 @@ def _t_to_a(t, n: int):
     return t ** (1.0 / n)
 
 
+def _dimensions(ns) -> list[int]:
+    """The dimensions `ns` in increasing order, each once; ValueError if any is below 2."""
+    ns = sorted(set(ns))
+    for n in ns:
+        if n < 2:
+            raise ValueError(f"n must be >= 2, got {n}")
+    return ns
+
+
 def d_constants(ns) -> dict[int, DConstantResult]:
     """{n: d_n = min_t J(t) / Gamma_1(B_1)} in increasing n, from one batched t-grid.
 
-    t = a^n is the natural variable (J is symmetric about t = 1/2). The
-    65-point t-grids of all n are solved in one `_J_many` batch. Each n's
-    row must then find a root at every t and must not jump roots: no
-    adjacent gap may exceed 5x a robust local slope scale. d_n is the
-    smallest J on the grid. The two-ball minimum sits at one ball
-    (t = 0 or 1, n = 2, 3) or at two equal balls (t = 1/2, n >= 4), and
-    the grid holds all three points; a grid minimum at any other t raises
-    ConvergenceError, because the grid value there could overstate a
-    constant that is used as a lower bound.
+    t = a^n is the natural variable. Swapping the two balls maps t to
+    1 - t, so J(t) = J(1 - t) exactly, and only the 33 points
+    t = 0, 1/64, ..., 1/2 of each n's 65-point grid are solved, all n in
+    one `_J_many` batch; each row is mirrored onto t > 1/2 (the grid
+    points are multiples of 1/64, so ts[64 - i] == 1 - ts[i] exactly).
+    `curve_table` still solves every t it is given. Each n's solved half
+    must find a root at every t, and its mirrored row must not jump
+    roots: no adjacent gap may exceed 5x a robust local slope scale. d_n
+    is the smallest J on the grid, and `curve` holds all 65 points. The
+    two-ball minimum sits at one ball (t = 0 or 1, n = 2, 3) or at two
+    equal balls (t = 1/2, n >= 4), and the grid holds all three points; a
+    grid minimum at any other t raises ConvergenceError, because the grid
+    value there could overstate a constant that is used as a lower bound.
 
     The n are checked in increasing order, so when some n fail, the
     ConvergenceError of the smallest of them is raised: the one that
     solving the n one at a time would meet first.
     """
-    ns = sorted(set(ns))
-    for n in ns:
-        if n < 2:
-            raise ValueError(f"n must be >= 2, got {n}")
+    ns = _dimensions(ns)
     if not ns:
         return {}
     k0 = [zs[0] for zs in _clamped_roots(np.array(ns) / 2.0 - 1.0, kmax=1)]
     ts = np.linspace(0.0, 1.0, _GRID_POINTS)
+    half = ts[: _GRID_POINTS // 2 + 1]
     # a scalar exponent per n, as in curve_table (numpy's power of an exponent array differs, see _radii)
-    grid = _J_many(np.array(ns)[:, None], np.array([_t_to_a(ts, n) for n in ns]), np.array(k0)[:, None])
+    lower = _J_many(np.array(ns)[:, None], np.array([_t_to_a(half, n) for n in ns]), np.array(k0)[:, None])
     results = {}
-    for n, k, js in zip(ns, k0, grid):
+    for n, k, solved in zip(ns, k0, lower):
         ball = k**4
-        failed = ts[np.isnan(js)].tolist()
+        failed = half[np.isnan(solved)].tolist()
         if failed:
             raise ConvergenceError(f"two-ball bracketing failed for n={n} at t={failed}")
+        js = np.concatenate([solved, solved[-2::-1]])
         gaps = np.abs(np.diff(js))
         padded = np.pad(gaps, 1)  # gaps are >= 0, so a zero pad never wins the max
         slope_scale = np.maximum(np.maximum(padded[:-2], padded[2:]), 1e-3 * ball)
@@ -225,12 +237,23 @@ def d_constant(n: int) -> DConstantResult:
     return d_constants([n])[n]
 
 
+def c_constants(ns) -> dict[int, float]:
+    """{n: c_n = 2^(2/n) (j_{n/2-1,1} / j_{n/2,1})^2} in increasing n, the buckling lower-bound constants.
+
+    The first zeros of the orders n/2 - 1 and n/2 of every n come from one
+    `bessel_zeros` batch, whose every order gives the root a call of its
+    own gives, so each c_n is bit for bit the one-n value.
+    """
+    ns = _dimensions(ns)
+    if not ns:
+        return {}
+    zeros = specfun.bessel_zeros(np.ravel([(n / 2.0 - 1.0, n / 2.0) for n in ns]), kmax=1)
+    return {n: 2.0 ** (2.0 / n) * (num / den) ** 2 for n, (num,), (den,) in zip(ns, zeros[::2], zeros[1::2])}
+
+
 def c_constant(n: int) -> float:
-    """c_n = 2^(2/n) (j_{n/2-1,1} / j_{n/2,1})^2, the buckling lower-bound constant."""
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    (num,), (den,) = specfun.bessel_zeros(np.array([n / 2.0 - 1.0, n / 2.0]), kmax=1)
-    return 2.0 ** (2.0 / n) * (num / den) ** 2
+    """c_n alone: `c_constants([n])[n]`."""
+    return c_constants([n])[n]
 
 
 def curve_table(n: int, t_grid) -> list[tuple[float, float | None]]:

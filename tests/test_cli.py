@@ -3,6 +3,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -337,6 +341,19 @@ class TestConstantsAndCurve:
         assert main(["--output-dir", str(out), *argv]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+    def test_root_finder_failure_is_an_error_line(self, tmp_path):
+        # the two-ball scan of n = 140 finds no sign change: exit 2 with one
+        # error line, no traceback, and no table
+        out = tmp_path / "out"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "eigenineq.cli", "--output-dir", str(out), "constants", "--n", "140"],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: two-ball bracketing failed for n=140 ")
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+        assert not (out / "constants.csv").exists()
 
 
 class TestSpectrumCommand:

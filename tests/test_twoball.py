@@ -18,6 +18,7 @@ from eigenineq.twoball import (
     TALENTI_D_PRIME,
     J_of_a,
     c_constant,
+    c_constants,
     curve_table,
     d_constant,
     d_constants,
@@ -112,13 +113,39 @@ def test_d_constants_against_published_values():
 
 
 def test_d_curve_samples_and_symmetry():
+    # d_constant mirrors its solved half onto t > 1/2; curve_table solves
+    # every t, so it checks the symmetry J(t) = J(1 - t) independently
     res = d_constant(4)
     ts = [t for t, _ in res.curve]
+    assert len(ts) == 65
     ratios = dict(res.curve)
     assert ratios[0.0] == 1.0 and ratios[1.0] == 1.0
-    for t in ts:
-        assert abs(ratios[t] - ratios[1.0 - t]) < 1e-7 * ratios[t]
+    direct = curve_table(4, ts)
+    assert [t for t, _ in direct] == ts
+    np.testing.assert_allclose([r for _, r in res.curve], [r for _, r in direct], rtol=1e-13, atol=0.0)
     assert min(ratios.values()) == res.d_n
+
+
+def test_d_n_equals_the_equal_balls_closed_form():
+    # the minimum sits at the solved grid point t = 1/2, where
+    # d_n = 2^(4/n) (j_{n/2-1,1} / k0)^4
+    for n in range(4, 9):
+        j = specfun.bessel_zeros(n / 2.0 - 1.0, kmax=1)[0]
+        closed = 2.0 ** (4.0 / n) * (j / clamped_radial_root(n, 0)) ** 4
+        assert d_constant(n).d_n == pytest.approx(closed, rel=1e-14, abs=0.0)
+
+
+def test_c_constants_batch_equals_one_n_at_a_time():
+    one = {n: c_constant(n) for n in range(2, 12)}
+    assert c_constants(range(2, 12)) == one
+    batch = c_constants([11, 4, 2, 11, 7, 3, 4, 10, 9, 8, 6, 5, 2])
+    assert list(batch) == list(range(2, 12))
+    assert batch == one
+    assert c_constants([]) == {}
+    with pytest.raises(ValueError):
+        c_constants([1])
+    with pytest.raises(ValueError):
+        c_constant(1)
 
 
 def test_curve_table_endpoints():
@@ -248,6 +275,25 @@ def test_d_n_is_the_smallest_J_evaluated(monkeypatch):
         assert (js[ns == n] / res.ball_value >= res.d_n).all()
 
 
+def test_d_constants_solve_only_the_half_grid(monkeypatch):
+    # J(t) = J(1 - t), so one _J_many batch solves t = 0, 1/64, ..., 1/2 of
+    # every n and the 65-point curve mirrors it
+    seen = []
+    real = twoball._J_many
+
+    def recording(n, a, k0):
+        seen.append(np.broadcast(n, a, k0).shape)
+        return real(n, a, k0)
+
+    monkeypatch.setattr(twoball, "_J_many", recording)
+    batch = d_constants(range(2, 9))
+    assert seen == [(7, 33)]
+    for res in batch.values():
+        ts = [t for t, _ in res.curve]
+        assert ts == np.linspace(0.0, 1.0, 65).tolist()
+        assert [r for _, r in res.curve[32:]] == [r for _, r in res.curve[32::-1]]
+
+
 def test_array_n_det_matches_scalar_loop_bitwise():
     # n = 2 and n = 3 take the exponents 2 and 0.5, which numpy evaluates
     # differently as a scalar than as an element of an exponent array
@@ -275,7 +321,7 @@ def test_batch_equals_one_dimension_at_a_time():
     assert d_constants([]) == {}
 
 
-def test_batch_raises_the_first_failure_of_a_loop_over_n(monkeypatch, tmp_path):
+def test_batch_raises_the_first_failure_of_a_loop_over_n(monkeypatch, tmp_path, capsys):
     # n = 7 fails on most of its t-grid, n = 5 on its one grid point
     # t = 0.3125 in 0.30 < t < 0.32; a loop over increasing n meets n = 5
     # first, and so must the batch
@@ -291,7 +337,7 @@ def test_batch_raises_the_first_failure_of_a_loop_over_n(monkeypatch, tmp_path):
     monkeypatch.setattr(twoball, "secular_det", failing)
     with pytest.raises(ConvergenceError, match="n=7 at t=") as seven:
         d_constant(7)
-    assert ", 0.5, " in str(seven.value)  # a grid point
+    assert str(seven.value).endswith(", 0.5]")  # the last solved grid point
     with pytest.raises(ConvergenceError) as first:
         for n in range(2, 9):
             d_constant(n)
@@ -299,24 +345,25 @@ def test_batch_raises_the_first_failure_of_a_loop_over_n(monkeypatch, tmp_path):
     with pytest.raises(ConvergenceError) as batch:
         d_constants(range(2, 9))
     assert str(batch.value) == str(first.value)
-    with pytest.raises(ConvergenceError) as cli:
-        main(["--output-dir", str(tmp_path), "constants", "--n", "8,7,6,5,4,3,2"])
-    assert str(cli.value) == str(first.value)
+    capsys.readouterr()
+    assert main(["--output-dir", str(tmp_path), "constants", "--n", "8,7,6,5,4,3,2"]) == 2
+    assert capsys.readouterr().err == f"error: {first.value}\n"
 
 
-def test_minimum_off_the_known_minimizers_is_an_error(monkeypatch, tmp_path):
+def test_minimum_off_the_known_minimizers_is_an_error(monkeypatch, tmp_path, capsys):
     # a smooth J with its minimum at the grid point t = 0.25, where the grid
     # value could overstate d_n, must not pass as a constant
     monkeypatch.setattr(twoball, "_J_many", lambda n, a, k0: k0**4 * (1.0 + (a**n - 0.25) ** 2))
     with pytest.raises(ConvergenceError, match=r"n=4 at t=0\.25,"):
         d_constants([4])
-    with pytest.raises(ConvergenceError, match=r"n=4 at t=0\.25,"):
-        main(["--output-dir", str(tmp_path), "constants", "--n", "4"])
+    assert main(["--output-dir", str(tmp_path), "constants", "--n", "4"]) == 2
+    assert "n=4 at t=0.25," in capsys.readouterr().err
 
 
 def test_constants_solves_all_n_in_few_determinant_calls(monkeypatch, tmp_path):
-    # all n share one lockstep batch of their 7 x 63 scanned grid radii (the
-    # endpoints are analytic): 41 stacked determinants on 15,527 rows
+    # all n share one lockstep batch of their 7 x 32 scanned radii of the
+    # half grid t <= 1/2 (t = 0 is analytic): 40 stacked determinants on
+    # 7,883 rows; every c_n comes from one Bessel-zero batch
     calls = []
     real = twoball.secular_det
 
@@ -324,10 +371,19 @@ def test_constants_solves_all_n_in_few_determinant_calls(monkeypatch, tmp_path):
         calls.append(np.broadcast(n, a, mu).size)
         return real(n, a, mu)
 
+    zero_calls = []
+    real_zeros = specfun.bessel_zeros
+
+    def counting_zeros(*args, **kwargs):
+        zero_calls.append(args)
+        return real_zeros(*args, **kwargs)
+
     monkeypatch.setattr(twoball, "secular_det", counting)
+    monkeypatch.setattr(specfun, "bessel_zeros", counting_zeros)
     assert run_constants(range(2, 9), str(tmp_path)) == 0
-    assert 0 < len(calls) <= 60
-    assert sum(calls) <= 17_000
+    assert 0 < len(calls) <= 41
+    assert sum(calls) <= 7_900
+    assert len(zero_calls) == 1
 
 
 def test_two_ball_root_is_bracketed_within_four_ulps():
