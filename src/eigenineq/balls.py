@@ -54,22 +54,32 @@ class BallSpec:
         return unit_ball_volume(self.dimension) * self.radius**self.dimension
 
 
+def _clamped_secular(nu, x):
+    """The clamped secular function C = J_nu(x) I_{nu+1}(x) + I_nu(x) J_{nu+1}(x), and its parts.
+
+    Returns C and the tuple (J_nu, I_nu, J_{nu+1}, I_{nu+1}) at x. I is
+    exponentially scaled (`ive`), a positive rescaling that keeps the
+    roots and never overflows. `nu` and `x` broadcast against each other.
+    """
+    j, i, j1, i1 = special.jv(nu, x), special.ive(nu, x), special.jv(nu + 1.0, x), special.ive(nu + 1.0, x)
+    return j * i1 + i * j1, (j, i, j1, i1)
+
+
 def _clamped_roots(nu, kmax=math.inf, bound=math.inf):
     """Roots of J_nu(x) I_{nu+1}(x) + I_nu(x) J_{nu+1}(x) = 0: the first kmax, or all up to `bound`.
 
     An ndarray of orders is scanned in one batch and gives one list per
-    order, each equal to that order's call. I is evaluated exponentially
-    scaled to keep the scan overflow-free (a positive rescaling preserves
-    the roots).
+    order, each equal to that order's call. Each scan starts at
+    max(0.5, sqrt(nu (nu + 2)) - 0.5), as `bessel_zeros` does. No root lies
+    below it: the clamped plate lies above the hinged one, whose order-nu
+    roots are the zeros of J_nu, and j_(nu,1) > sqrt(nu (nu + 2)). Near
+    x = 0 the secular function of a large order underflows to 0, which
+    the scan would take for a root.
     """
     orders = np.ravel(nu).astype(float)
     specfun._check_orders(orders)
-
-    def f(x, r):
-        nu = orders[r]
-        return special.jv(nu, x) * special.ive(nu + 1.0, x) + special.ive(nu, x) * special.jv(nu + 1.0, x)
-
-    roots = scan_zeros(f, kmax, np.full(orders.size, 0.25), 0.5,
+    start = np.maximum(0.5, np.sqrt(orders * (orders + 2.0)) - 0.5)
+    roots = scan_zeros(lambda x, r: _clamped_secular(orders[r], x)[0], kmax, start, 0.5,
                        lambda r: f"clamped radial root (nu={orders[r]})", bound)
     return roots if isinstance(nu, np.ndarray) else roots[0]
 

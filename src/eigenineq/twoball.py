@@ -16,19 +16,25 @@ Delta maps to -+ k^2 times the solution and the radial derivative obeys
 d/dr [r^-nu Z_nu(k r)] = -+ k r^-nu Z_{nu+1}(k r). The four boundary
 conditions therefore close into a 4x4 determinant in the coefficients.
 
+Dropping the flux condition leaves two separate hinged (Navier) balls,
+u = Delta u = 0 on each boundary, whose smallest eigenvalue is
+(j_{nu,1} / r)^4 on a ball of radius r. The constraint only shrinks the
+admissible set, so J(a) >= (j_{nu,1} / max(a, b))^4, with equality at
+a = b, where the symmetric mode meets both hinged conditions.
+
 The derivation is pinned by three independent checks (tests): the
 endpoint limit equals the clamped-ball eigenvalue, J is symmetric in
 t = a^n about 1/2, and the published d_n values are reproduced.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from . import specfun
-from .balls import _clamped_roots, clamped_radial_root
+from .balls import _clamped_roots, _clamped_secular, clamped_radial_root
 from .specfun import ConvergenceError
 from .specfun._zeros import scan_zeros
 
@@ -38,6 +44,7 @@ from .specfun._zeros import scan_zeros
 TALENTI_D_PRIME = {2: 0.9777, 3: 0.7391, 4: 0.6524}
 
 _ENDPOINT_GUARD = 1e-3
+_START_MARGIN = 1e-3  # each k scan starts this fraction below the Navier bound j_{nu,1} / max(a, b)
 _GRID_POINTS = 65  # t-grid points of the d_n scan; odd, so that t = 1/2 is a grid point
 
 
@@ -76,11 +83,20 @@ def secular_det(n, a, mu):
     both are positive rescalings, so root locations and sign changes are
     preserved even where I_nu would overflow.
 
-    `n`, `a` and `mu` broadcast against each other: array input builds
-    one stacked (..., 4, 4) matrix and returns the array of determinants;
-    scalar input returns a float. Every element must have a finite n >= 2,
-    0 < a < 1 and a finite mu > 0, or ValueError is raised; these are the
-    only checks the Bessel kernels below get.
+    The determinant is evaluated in closed form. Expanding it along its
+    two sparse rows gives
+
+        -2 [a^(n-1) J_nu(kb) I_nu(kb) C(ka) + b^(n-1) J_nu(ka) I_nu(ka) C(kb)]
+
+    with C the clamped secular function J_nu I_{nu+1} + I_nu J_{nu+1} of
+    `balls`, and dividing by the product of the four row sup-norms gives
+    the determinant of the sup-normalized matrix.
+
+    `n`, `a` and `mu` broadcast against each other: array input returns
+    the array of determinants; scalar input returns a float. Every element
+    must have a finite n >= 2, 0 < a < 1 and a finite mu > 0, or
+    ValueError is raised; these are the only checks the Bessel kernels
+    below get.
     """
     n, a, mu = np.broadcast_arrays(np.asarray(n), np.asarray(a, dtype=float), np.asarray(mu, dtype=float))
     bad_n = n[~(np.isfinite(n) & (n >= 2))]
@@ -99,19 +115,22 @@ def secular_det(n, a, mu):
     b, ah, bh = _radii(n, a)
     nu = n / 2.0 - 1.0
     k = mu**0.25
-    ka, kb = k * a, k * b
-    ja, ja1 = special.jv(nu, ka), special.jv(nu + 1.0, ka)
-    ia, ia1 = special.ive(nu, ka), special.ive(nu + 1.0, ka)
-    jb, jb1 = special.jv(nu, kb), special.jv(nu + 1.0, kb)
-    ib, ib1 = special.ive(nu, kb), special.ive(nu + 1.0, kb)
-    rows = np.zeros((4, 4) + ja.shape)  # (row, column, radius)
-    rows[0, :2] = ja, ia
-    rows[1, 2:] = jb, ib
-    rows[2] = -ah * ja1, ah * ia1, bh * jb1, -bh * ib1
-    rows[3] = -ja, ia, -jb, ib
-    scale = np.abs(rows).max(axis=1, keepdims=True)
-    rows /= np.where(scale > 0.0, scale, 1.0)
-    det = np.linalg.det(np.moveaxis(rows, -1, 0)).reshape(shape)
+    ca, (ja, ia, ja1, ia1) = _clamped_secular(nu, k * a)
+    cb, (jb, ib, jb1, ib1) = _clamped_secular(nu, k * b)
+    # the row sup-norms are na (phi(a) = 0), nb (psi(b) = 0), flux and lap
+    na, nb = np.maximum(np.abs(ja), ia), np.maximum(np.abs(jb), ib)
+    ma, mb = np.maximum(np.abs(ja1), ia1), np.maximum(np.abs(jb1), ib1)
+    flux, lap = np.maximum(ah * ma, bh * mb), np.maximum(na, nb)
+
+    def q(x, norm):  # x / norm; a zero norm has a zero row, so x is 0
+        return x / np.where(norm > 0.0, norm, 1.0)
+
+    # every factor is at most 2 in size, so a term underflows only where
+    # the normalized determinant does: it scales like (e^-x I_nu)^2, which
+    # leaves the double range near n = 1600; the raw products leave it sooner
+    det = -2.0 * (q(jb, nb) * q(ib, lap) * q(q(ca, na), ma) * q(ah * ma, flux)
+                  + q(ja, na) * q(ia, lap) * q(q(cb, nb), mb) * q(bh * mb, flux))
+    det = det.reshape(shape)
     return float(det) if det.ndim == 0 else det
 
 
@@ -124,10 +143,13 @@ def _J_many(n, a, k0) -> np.ndarray:
     the broadcast shape.
     Near-degenerate endpoints (min(a, b) < 1e-3) take the analytic
     endpoint value k0^4. Every other radius is one row of a `scan_zeros`
-    batch in k = mu^(1/4): the scan runs from 0.5 k0 in steps of k0/50
-    up to 2 k0, and its first sign change is refined to float resolution
-    in k, like every other radial root. Radii whose scan finds no sign
-    change get NaN.
+    batch in k = mu^(1/4). Its scan starts 1e-3 below the Navier bound
+    j / max(a, b), j = j_{n/2-1,1}, under which no root lies, and runs up
+    to 2 k0 in steps of min(k0/50, (k0 - j)/4); a step of k0/50 from that
+    start can straddle two roots of a large n (n = 68, t = 0.484: 39.677
+    and 40.410 in one step of 0.80) and skip both. The first sign change
+    is refined to float resolution in k, like every other radial root.
+    Radii whose scan finds no sign change get NaN.
     """
     n, a, k0 = np.broadcast_arrays(np.asarray(n), np.asarray(a, dtype=float), np.asarray(k0, dtype=float))
     shape = a.shape
@@ -137,7 +159,10 @@ def _J_many(n, a, k0) -> np.ndarray:
     out[endpoint] = [k**4 for k in k0[endpoint].tolist()]  # Python powers: bit-equal to clamped_ball
     scan = ~endpoint
     n, a, k0 = n[scan], a[scan], k0[scan]
-    ks = scan_zeros(lambda k, r: secular_det(n[r], a[r], k**4), 1, 0.5 * k0, k0 / 50.0,
+    dims = np.unique(n)
+    j = np.array([j for j, _ in _first_zeros(tuple(dims.tolist()))])[np.searchsorted(dims, n)]
+    start = (1.0 - _START_MARGIN) * j / np.maximum(a, _radii(n, a)[0])
+    ks = scan_zeros(lambda k, r: secular_det(n[r], a[r], k**4), 1, start, np.minimum(k0 / 50.0, (k0 - j) / 4.0),
                     lambda r: f"two-ball root for n={n[r]}, a={a[r]}", bound=2.0 * k0)
     out[scan] = np.array([k[0] if k else np.nan for k in ks]) ** 4
     return out.reshape(shape)
@@ -148,10 +173,11 @@ def J_of_a(n: int, a: float) -> float:
     under the |Omega| = C_n normalization.
 
     A one-radius call of the batched solver `_J_many`: scan in k =
-    mu^(1/4) with step k0/50 from 0.5 k0 to 2 k0, ITP refinement of the
-    first sign change to float resolution in k, and the analytic endpoint
-    value when min(a, b) < 1e-3. Raises ConvergenceError when the scan
-    finds no sign change.
+    mu^(1/4) from just below the Navier bound j_{n/2-1,1} / max(a, b) to
+    2 k0 in steps of min(k0/50, (k0 - j_{n/2-1,1})/4), ITP refinement of
+    the first sign change to float resolution in k, and the analytic
+    endpoint value when min(a, b) < 1e-3. Raises ConvergenceError when the
+    scan finds no sign change.
     """
     if not (0.0 <= a <= 1.0):
         raise ValueError(f"a must lie in [0, 1], got {a}")
@@ -163,6 +189,19 @@ def J_of_a(n: int, a: float) -> float:
 
 def _t_to_a(t, n: int):
     return t ** (1.0 / n)
+
+
+@functools.lru_cache(maxsize=8)
+def _first_zeros(ns: tuple[int, ...]) -> tuple[tuple[float, float], ...]:
+    """(j_{n/2-1,1}, j_{n/2,1}) for every n of the increasing tuple `ns`, from one `bessel_zeros` batch.
+
+    `_J_many` starts its scans from the first and `c_constants` takes the
+    ratio of the two, so a `constants` run, which solves both for the same
+    dimensions, makes one batch. Every order gives the root a call of its
+    own gives, whatever batch it is in.
+    """
+    zeros = specfun.bessel_zeros(np.ravel([(n / 2.0 - 1.0, n / 2.0) for n in ns]), kmax=1)
+    return tuple((num, den) for (num,), (den,) in zip(zeros[::2], zeros[1::2]))
 
 
 def _dimensions(ns) -> list[int]:
@@ -240,15 +279,14 @@ def d_constant(n: int) -> DConstantResult:
 def c_constants(ns) -> dict[int, float]:
     """{n: c_n = 2^(2/n) (j_{n/2-1,1} / j_{n/2,1})^2} in increasing n, the buckling lower-bound constants.
 
-    The first zeros of the orders n/2 - 1 and n/2 of every n come from one
-    `bessel_zeros` batch, whose every order gives the root a call of its
-    own gives, so each c_n is bit for bit the one-n value.
+    The first zeros of the orders n/2 - 1 and n/2 of every n come from the
+    `_first_zeros` batch that `d_constants` of the same n starts its scans
+    from, so each c_n is bit for bit the one-n value.
     """
     ns = _dimensions(ns)
     if not ns:
         return {}
-    zeros = specfun.bessel_zeros(np.ravel([(n / 2.0 - 1.0, n / 2.0) for n in ns]), kmax=1)
-    return {n: 2.0 ** (2.0 / n) * (num / den) ** 2 for n, (num,), (den,) in zip(ns, zeros[::2], zeros[1::2])}
+    return {n: 2.0 ** (2.0 / n) * (num / den) ** 2 for n, (num, den) in zip(ns, _first_zeros(tuple(ns)))}
 
 
 def c_constant(n: int) -> float:

@@ -343,15 +343,17 @@ class TestConstantsAndCurve:
         assert not out.exists()
 
     def test_root_finder_failure_is_an_error_line(self, tmp_path):
-        # the two-ball scan of n = 140 finds no sign change: exit 2 with one
-        # error line, no traceback, and no table
+        # for n = 2000 the normalized secular determinant underflows to 0 at
+        # the start of every scan, the zero is taken for a root, and the jump
+        # check rejects the J(t) curve: exit 2 with one error line, no
+        # traceback, and no table
         out = tmp_path / "out"
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-m", "eigenineq.cli", "--output-dir", str(out), "constants", "--n", "140"],
+        proc = subprocess.run([sys.executable, "-m", "eigenineq.cli", "--output-dir", str(out), "constants", "--n", "2000"],
                               env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 2
-        assert proc.stderr.startswith("error: two-ball bracketing failed for n=140 ")
+        assert proc.stderr.startswith("error: J(t) jump between t=0.0000 and t=0.0156 for n=2000: ")
         assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
         assert not (out / "constants.csv").exists()
 

@@ -135,6 +135,35 @@ def test_d_n_equals_the_equal_balls_closed_form():
         assert d_constant(n).d_n == pytest.approx(closed, rel=1e-14, abs=0.0)
 
 
+def test_navier_bound_holds_and_is_met_at_half(monkeypatch):
+    # dropping the flux condition leaves two hinged balls, so every root
+    # k(t) >= j / max(a, b), with equality at t = 1/2. The scans start just
+    # below that bound, in steps that cannot straddle the two close roots
+    # of a large n (n = 68, t = 0.484: 39.677 and 40.410)
+    seen = []
+    real = twoball._J_many
+
+    def recording(n, a, k0):
+        js = real(n, a, k0)
+        seen.append(np.broadcast_arrays(n, a, js))
+        return js
+
+    monkeypatch.setattr(twoball, "_J_many", recording)
+    ns = (4, 8, 40, 68, 100, 140, 200)
+    batch = d_constants(ns)
+    (n, a, js), = seen
+    for m in ns:
+        j = specfun.bessel_zeros(m / 2.0 - 1.0, kmax=1)[0]
+        res = batch[m]
+        assert res.minimizer_t == 0.5
+        closed = 2.0 ** (4.0 / m) * (j / clamped_radial_root(m, 0)) ** 4
+        assert res.d_n == pytest.approx(closed, rel=1e-12, abs=0.0)
+        sel = (n == m) & (a > 0.0)
+        b = (1.0 - a[sel] ** m) ** (1.0 / m)
+        k = js[sel] ** 0.25
+        assert (k >= (1.0 - 1e-14) * j / np.maximum(a[sel], b)).all()
+
+
 def test_c_constants_batch_equals_one_n_at_a_time():
     one = {n: c_constant(n) for n in range(2, 12)}
     assert c_constants(range(2, 12)) == one
@@ -362,8 +391,9 @@ def test_minimum_off_the_known_minimizers_is_an_error(monkeypatch, tmp_path, cap
 
 def test_constants_solves_all_n_in_few_determinant_calls(monkeypatch, tmp_path):
     # all n share one lockstep batch of their 7 x 32 scanned radii of the
-    # half grid t <= 1/2 (t = 0 is analytic): 40 stacked determinants on
-    # 7,883 rows; every c_n comes from one Bessel-zero batch
+    # half grid t <= 1/2 (t = 0 is analytic), each started at its Navier
+    # bound: 25 determinant calls on 3,334 rows; the Navier starts and
+    # every c_n come from one Bessel-zero batch
     calls = []
     real = twoball.secular_det
 
@@ -380,9 +410,10 @@ def test_constants_solves_all_n_in_few_determinant_calls(monkeypatch, tmp_path):
 
     monkeypatch.setattr(twoball, "secular_det", counting)
     monkeypatch.setattr(specfun, "bessel_zeros", counting_zeros)
+    twoball._first_zeros.cache_clear()  # a cold start, as in a `constants` process
     assert run_constants(range(2, 9), str(tmp_path)) == 0
-    assert 0 < len(calls) <= 41
-    assert sum(calls) <= 7_900
+    assert 0 < len(calls) <= 25
+    assert sum(calls) <= 3_400
     assert len(zero_calls) == 1
 
 
