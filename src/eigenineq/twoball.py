@@ -155,13 +155,14 @@ def _J_many(n, a, k0) -> np.ndarray:
     shape = a.shape
     n, a, k0 = n.ravel(), a.ravel(), k0.ravel()
     out = np.full(a.shape, np.nan)
-    endpoint = np.minimum(a, _radii(n, a)[0]) < _ENDPOINT_GUARD
+    b = _radii(n, a)[0]
+    endpoint = np.minimum(a, b) < _ENDPOINT_GUARD
     out[endpoint] = [k**4 for k in k0[endpoint].tolist()]  # Python powers: bit-equal to clamped_ball
     scan = ~endpoint
-    n, a, k0 = n[scan], a[scan], k0[scan]
+    n, a, b, k0 = n[scan], a[scan], b[scan], k0[scan]
     dims = np.unique(n)
-    j = np.array([j for j, _ in _first_zeros(tuple(dims.tolist()))])[np.searchsorted(dims, n)]
-    start = (1.0 - _START_MARGIN) * j / np.maximum(a, _radii(n, a)[0])
+    j = np.array([navier for navier, _ in _first_zeros(tuple(dims.tolist()))])[np.searchsorted(dims, n)]
+    start = (1.0 - _START_MARGIN) * j / np.maximum(a, b)
     ks = scan_zeros(lambda k, r: secular_det(n[r], a[r], k**4), 1, start, np.minimum(k0 / 50.0, (k0 - j) / 4.0),
                     lambda r: f"two-ball root for n={n[r]}, a={a[r]}", bound=2.0 * k0)
     out[scan] = np.array([k[0] if k else np.nan for k in ks]) ** 4
@@ -197,8 +198,7 @@ def _first_zeros(ns: tuple[int, ...]) -> tuple[tuple[float, float], ...]:
 
     `_J_many` starts its scans from the first and `c_constants` takes the
     ratio of the two, so a `constants` run, which solves both for the same
-    dimensions, makes one batch. Every order gives the root a call of its
-    own gives, whatever batch it is in.
+    dimensions, makes one batch.
     """
     zeros = specfun.bessel_zeros(np.ravel([(n / 2.0 - 1.0, n / 2.0) for n in ns]), kmax=1)
     return tuple((num, den) for (num,), (den,) in zip(zeros[::2], zeros[1::2]))
@@ -279,9 +279,10 @@ def d_constant(n: int) -> DConstantResult:
 def c_constants(ns) -> dict[int, float]:
     """{n: c_n = 2^(2/n) (j_{n/2-1,1} / j_{n/2,1})^2} in increasing n, the buckling lower-bound constants.
 
-    The first zeros of the orders n/2 - 1 and n/2 of every n come from the
-    `_first_zeros` batch that `d_constants` of the same n starts its scans
-    from, so each c_n is bit for bit the one-n value.
+    The first zeros of the orders n/2 - 1 and n/2 of every n come from
+    `_first_zeros`, the batch that `d_constants` of the same n starts its
+    scans from; every order in it gives the root a call of its own gives,
+    so each c_n is bit for bit the one-n value.
     """
     ns = _dimensions(ns)
     if not ns:

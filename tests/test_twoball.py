@@ -392,7 +392,7 @@ def test_minimum_off_the_known_minimizers_is_an_error(monkeypatch, tmp_path, cap
 def test_constants_solves_all_n_in_few_determinant_calls(monkeypatch, tmp_path):
     # all n share one lockstep batch of their 7 x 32 scanned radii of the
     # half grid t <= 1/2 (t = 0 is analytic), each started at its Navier
-    # bound: 25 determinant calls on 3,334 rows; the Navier starts and
+    # bound: 25 determinant calls on 3,335 rows; the Navier starts and
     # every c_n come from one Bessel-zero batch
     calls = []
     real = twoball.secular_det
