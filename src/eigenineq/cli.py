@@ -22,6 +22,7 @@ import os
 import sys
 from pathlib import Path
 
+from . import sources
 from .catalog import CATALOG, CONJECTURE, PROVEN, evaluate_all
 from .grid.domain import Annulus, Disk, Ellipse, LShape, Polygon, Rectangle, Shape, _finite_real
 from .grid.solve import SolverError, solve_shape
@@ -78,7 +79,9 @@ def _write_spectra(path: Path, solved):
     """One row per eigenvalue of each (bundle, per-level spectra) pair's spectra.
 
     Domains go by label and problems by name; each problem's levels come
-    before its extrapolation, and every row carries the bundle's label.
+    before its extrapolation (a Ritz spectrum has no levels and no mesh
+    width, so its rows have an empty h), and every row carries the
+    bundle's label.
     """
     _write_csv(path, ["domain", "problem", "provenance", "h", "index", "value", "allowance"],
                [(bundle.label, s.kind.value, s.provenance.value, s.mesh_h, i + 1, v, s.allowance)
@@ -213,7 +216,7 @@ def run_verify(config: dict, output_dir: str, tolerance_scale: float = 1.0, work
     wanted = {problem: m_for(problem) for problem in problems}
     by_area = sorted(domains, key=lambda d: d[1].area, reverse=True)
     with concurrent.futures.ThreadPoolExecutor(max_workers=workers or os.cpu_count() or 1) as pool:
-        solved = list(pool.map(lambda d: solve_shape(*d, wanted, h, levels), by_area))
+        solved = list(pool.map(lambda d: sources.solve_shape(*d, wanted, h, levels), by_area))
     errors = [{"domain": bundle.label, "problem": problem.value, "error": str(exc)}
               for bundle, _, failed in solved for problem, exc in failed.items()]
     _write_spectra(out / "spectra.csv", [(bundle, per_level) for bundle, per_level, _ in solved])

@@ -17,6 +17,7 @@ class Provenance(enum.Enum):
     CLOSED_FORM = "closed_form"
     DISCRETE = "discrete"
     DISCRETE_EXTRAPOLATED = "discrete_extrapolated"
+    RITZ = "ritz"
 
 
 def require_dimension(n):
@@ -31,7 +32,8 @@ class Spectrum:
 
     ``allowance`` is the relative discretization budget of the values
     (zero for closed forms, 3x the observed Richardson residual for
-    extrapolated spectra); ``mesh_h`` records the mesh width of discrete
+    extrapolated spectra, the largest relative change from degree p - 4
+    to p for Ritz spectra); ``mesh_h`` records the mesh width of discrete
     spectra so extrapolation can verify the exact ratio-2 precondition.
     """
 

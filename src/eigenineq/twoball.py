@@ -149,7 +149,10 @@ def _J_many(n, a, k0) -> np.ndarray:
     start can straddle two roots of a large n (n = 68, t = 0.484: 39.677
     and 40.410 in one step of 0.80) and skip both. The first sign change
     is refined to float resolution in k, like every other radial root.
-    Radii whose scan finds no sign change get NaN.
+    Radii whose scan finds no sign change get NaN, and so do radii whose
+    root is the scan start itself: no root lies there, so that is a
+    determinant that underflowed to 0 (it does for large n, from n = 1623
+    on the d_n grid).
     """
     n, a, k0 = np.broadcast_arrays(np.asarray(n), np.asarray(a, dtype=float), np.asarray(k0, dtype=float))
     shape = a.shape
@@ -165,7 +168,9 @@ def _J_many(n, a, k0) -> np.ndarray:
     start = (1.0 - _START_MARGIN) * j / np.maximum(a, b)
     ks = scan_zeros(lambda k, r: secular_det(n[r], a[r], k**4), 1, start, np.minimum(k0 / 50.0, (k0 - j) / 4.0),
                     lambda r: f"two-ball root for n={n[r]}, a={a[r]}", bound=2.0 * k0)
-    out[scan] = np.array([k[0] if k else np.nan for k in ks]) ** 4
+    roots = np.array([k[0] if k else np.nan for k in ks])
+    roots[roots == start] = np.nan  # an underflowed determinant, not a root (docstring)
+    out[scan] = roots**4
     return out.reshape(shape)
 
 
@@ -178,7 +183,7 @@ def J_of_a(n: int, a: float) -> float:
     2 k0 in steps of min(k0/50, (k0 - j_{n/2-1,1})/4), ITP refinement of
     the first sign change to float resolution in k, and the analytic
     endpoint value when min(a, b) < 1e-3. Raises ConvergenceError when the
-    scan finds no sign change.
+    scan finds no root above its start.
     """
     if not (0.0 <= a <= 1.0):
         raise ValueError(f"a must lie in [0, 1], got {a}")

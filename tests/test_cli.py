@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from eigenineq import specfun
+from eigenineq import ritz, specfun
 from eigenineq.cli import ConfigError, load_config, main, parse_shape
 from eigenineq.grid import solve as solve_module
 from eigenineq.grid.domain import Disk, LShape, Rectangle
@@ -152,6 +152,16 @@ class TestVerify:
         spectra = read_csv(out / "spectra.csv")
         assert {r["provenance"] for r in spectra} == {"discrete", "discrete_extrapolated"}
 
+    def test_rectangle_plates_are_ritz_rows_with_no_mesh_width(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json", problems=["dirichlet", "clamped", "buckling"])
+        out = tmp_path / "out"
+        assert main(["--output-dir", str(out), "verify", str(cfg)]) == 0
+        spectra = read_csv(out / "spectra.csv")
+        for problem in ("clamped", "buckling"):
+            rows = [r for r in spectra if r["problem"] == problem]
+            assert [(r["provenance"], r["h"], r["index"]) for r in rows] == [("ritz", "", str(i)) for i in range(1, 5)]
+        assert {r["provenance"] for r in spectra if r["problem"] == "dirichlet"} == {"discrete", "discrete_extrapolated"}
+
     def test_spectra_domain_is_the_config_label_else_the_shape_label(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", domains=[
             {"shape": {"type": "rectangle", "width": 1.0, "height": 1.0}, "label": "unit_square"},
@@ -227,14 +237,36 @@ class TestVerify:
             return real(op, m, factors)
 
         monkeypatch.setattr(solve_module, "smallest_eigs", no_buckling)
-        cfg = write_config(tmp_path / "c.json", problems=["dirichlet", "neumann", "clamped", "buckling"])
+        # the L-shape's plates come from finite differences (a rectangle's come from ritz)
+        cfg = write_config(tmp_path / "c.json", problems=["dirichlet", "neumann", "clamped", "buckling"],
+                           domains=[{"shape": {"type": "l_shape", "w1": 0.5, "w2": 0.5}, "label": "l_shape"}])
         out = tmp_path / "out"
         assert main(["--output-dir", str(out), "verify", str(cfg)]) == 1
         summary = json.loads((out / "summary.json").read_text())
         assert summary["solver_errors"] == [
-            {"domain": "unit_square", "problem": "buckling", "error": "injected buckling failure"}
+            {"domain": "l_shape", "problem": "buckling", "error": "injected buckling failure"}
         ]
         assert {r["problem"] for r in read_csv(out / "spectra.csv")} == {"dirichlet", "neumann", "clamped"}
+
+    def test_ritz_failure_is_a_solver_error_and_the_membranes_still_solve(self, tmp_path, monkeypatch):
+        real = ritz._eigenvalues
+
+        def rising(shape, kind, m, p):  # values that grow with the degree, as no conforming space gives
+            return real(shape, kind, m, p) * (1.0 + 1e-6 * p)
+
+        monkeypatch.setattr(ritz, "_eigenvalues", rising)
+        cfg = write_config(tmp_path / "c.json", problems=["dirichlet", "neumann", "clamped", "buckling"])
+        out = tmp_path / "out"
+        assert main(["--output-dir", str(out), "verify", str(cfg)]) == 1
+        summary = json.loads((out / "summary.json").read_text())
+        assert [(e["domain"], e["problem"]) for e in summary["solver_errors"]] == [
+            ("unit_square", "buckling"), ("unit_square", "clamped")]
+        assert all("rose by" in e["error"] for e in summary["solver_errors"])
+        with pytest.raises(SolverError, match="rose by"):
+            ritz.spectrum(Rectangle(1.0, 1.0), ProblemKind.CLAMPED, 4)
+        spectra = read_csv(out / "spectra.csv")
+        assert {r["problem"] for r in spectra} == {"dirichlet", "neumann"}
+        assert {r["domain"] for r in read_csv(out / "inequalities.csv")} == {"unit_square"}
 
     @pytest.mark.parametrize("workers", ["-1", "0"])
     def test_workers_below_one_rejected(self, tmp_path, capsys, workers):
@@ -344,16 +376,15 @@ class TestConstantsAndCurve:
 
     def test_root_finder_failure_is_an_error_line(self, tmp_path):
         # for n = 2000 the normalized secular determinant underflows to 0 at
-        # the start of every scan, the zero is taken for a root, and the jump
-        # check rejects the J(t) curve: exit 2 with one error line, no
-        # traceback, and no table
+        # the start of every scan, where no root lies, so every solved t
+        # fails: exit 2 with one error line, no traceback, and no table
         out = tmp_path / "out"
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run([sys.executable, "-m", "eigenineq.cli", "--output-dir", str(out), "constants", "--n", "2000"],
                               env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 2
-        assert proc.stderr.startswith("error: J(t) jump between t=0.0000 and t=0.0156 for n=2000: ")
+        assert proc.stderr.startswith("error: two-ball bracketing failed for n=2000 at t=[0.015625, ")
         assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
         assert not (out / "constants.csv").exists()
 

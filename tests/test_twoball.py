@@ -277,6 +277,19 @@ def test_no_sign_change_is_reported(monkeypatch, tmp_path):
     assert status == ["ok", "failed", "failed", "failed", "ok"]
 
 
+def test_a_determinant_underflowing_at_the_scan_start_is_a_failure(tmp_path):
+    # for large n secular_det is exactly 0 at the scan start, 1e-3 below the
+    # Navier bound, where no root lies; that start used to come back as the
+    # eigenvalue, (1 - 1e-3)^4 times the bound
+    assert curve_table(1622, [1e-4]) == [(1e-4, None)]
+    assert curve_table(1500, [1e-200]) == [(1e-200, None)]
+    with pytest.raises(ConvergenceError, match=r"^two-ball bracketing failed for n=1623 at t=\["):
+        d_constants([1623])
+    assert main(["--output-dir", str(tmp_path), "curve", "--n", "2000", "--points", "3"]) == 1
+    with open(tmp_path / "curve_n2000.csv", newline="", encoding="utf-8") as fh:
+        assert [row["status"] for row in csv.DictReader(fh)] == ["ok", "failed", "ok"]
+
+
 def test_d_constants_pinned():
     for n, ref in PINNED_D.items():
         res = d_constant(n)
