@@ -5,7 +5,8 @@ same (bundle, per-level spectra, errors) triple. The clamped and buckling
 plates of a `Rectangle` or an `Ellipse` come from the Rayleigh–Ritz
 solver (`ritz`), with an empty per-level list; every other pair comes
 from the finite differences of `grid`. That includes the disk's plates,
-the plate values that `verify` results are checked against in closed form.
+which `perfbench` compares, as extrapolated grid rows, with the closed
+forms of `balls`.
 """
 
 import dataclasses
