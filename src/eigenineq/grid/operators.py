@@ -62,6 +62,22 @@ class DiscreteOperator:
     def dim(self):
         return self.matrix.shape[0]
 
+    @property
+    def nodes(self):
+        """Boolean array over the padded lattice box marking the nodes that carry the unknowns.
+
+        These are the interior nodes (`GridDomain.padded`), or for Neumann
+        the cut-cell nodes; the matrix rows take them in row-major order.
+        """
+        if self.kind is ProblemKind.NEUMANN:
+            return _cell_nodes(self.domain)
+        return self.domain.padded.reshape(np.add(self.domain.mask.shape, 2))
+
+
+def _cell_nodes(domain):
+    """The padded box's nodes whose dual cell meets the shape."""
+    return domain.cells.fraction > 0.0
+
 
 def _laplacian(domain):
     """(diag(dirichlet_diagonal) - adj) / h^2."""
@@ -75,7 +91,7 @@ def _neumann(domain):
     ax = np.pad(cells.aperture_x, ((0, 1), (0, 0))).ravel()[:-ny]  # flat node k to k + ny
     ay = np.pad(cells.aperture_y, ((0, 0), (0, 1))).ravel()[:-1]  # flat node k to k + 1
     upper = sparse.diags([ax, ay], [ny, 1], shape=(nx * ny, nx * ny))
-    nodes = cells.fraction.ravel() > 0.0
+    nodes = _cell_nodes(domain).ravel()
     w = (upper + upper.T).tocsr()[nodes][:, nodes]
     ncomp = connected_components(w, directed=False)[0]
     if ncomp != 1:
