@@ -344,15 +344,22 @@ def _dirichlet_diagonal(shape, mask, i_lo, j_lo, h):
     (i_lo, j_lo). A neighbour inside the shape is a mask node too (only a
     node with no 4-neighbour inside is dropped), so the links to the
     other neighbours are exactly the cut ones.
+
+    Each node sums its terms as 4 + ((+x + -x) + (+y + -y)), an order
+    that the lattice's flips and transpose only permute, so a domain
+    that is mirror- or transpose-symmetric on the lattice gets a
+    diagonal that is too, bit for bit (`grid.solve._flips` tests that).
     """
     pad = np.pad(mask, 1)
     rows, cols = mask.shape
     ends = [np.nonzero(mask & ~pad[1 + di : rows + 1 + di, 1 + dj : cols + 1 + dj]) for di, dj in _LINKS]
     i, j = (np.concatenate(x) for x in zip(*ends))
-    di, dj = (np.repeat(d, [e[0].size for e in ends]) for d in zip(*_LINKS))
+    sizes = [e[0].size for e in ends]
+    di, dj = (np.repeat(d, sizes) for d in zip(*_LINKS))
     theta = _cut_fractions(shape, i_lo + i, j_lo + j, di, dj, h)
-    diagonal = np.full(mask.shape, 4.0)
-    np.add.at(diagonal, (i, j), 1.0 / theta - 1.0)
+    terms = np.zeros((len(_LINKS), rows, cols))
+    terms[np.repeat(np.arange(len(_LINKS)), sizes), i, j] = 1.0 / theta - 1.0
+    diagonal = 4.0 + ((terms[0] + terms[1]) + (terms[2] + terms[3]))
     return diagonal[mask]
 
 

@@ -27,23 +27,38 @@ against the unfactored operator.
 The disk, the ellipse and the unit square sit mirror-symmetric on the
 lattice, and their Dirichlet, clamped and buckling matrices (and the
 unit square's Neumann one) are left entrywise unchanged by the x- and
-y-flips of the padded box. `smallest_eigs` finds those flips
-(`_flips`) and solves such an operator as its parity blocks Q^T A Q,
-with Q^T B Q for buckling: one orthonormal basis Q of orbit sums per
-parity class (`_parity_bases`; Fassler & Stiefel, Group Theoretical
-Methods and Their Applications, 1992). Four blocks of about n/4 nodes
-fill far less than the whole: the h = 1/192 disk's L+U holds 7.07M
-nonzeros whole and 1.28-1.30M per block. Each eigenvector is lifted
-back by Q and residual-checked against the whole operator, and the
-blocks' spectra are merged; a block is solved again for more values
-when all of its values fall inside the merged set. The split values
-agree with the whole solve to round-off: 4e-15 relative on membranes,
-1.1e-10 on the plates, where swapping the whole solve's ordering for
-COLAMD moves them by 1.5e-10. Operators below `_SPLIT_MIN_NODES`, or
-with no exact flip, are the one-block case of the same loop: the disk's
-and ellipse's Neumann cut-cell fractions differ from their mirror
-images in the last bits, off-lattice rectangles' links are cut at
-different theta on opposite sides, and the L-shape's nodes are not
+y-flips of the padded box; on the disk's and the square's square box,
+by its transpose x <-> y too. `smallest_eigs` finds those symmetries
+(`_flips`) and solves such an operator as blocks Q^T A Q, with Q^T B Q
+for buckling, each Q an orthonormal basis of orbit sums
+(`_parity_bases`; Fassler & Stiefel, Group Theoretical Methods and
+Their Applications, 1992; Bossavit, Comput. Methods Appl. Mech. Engrg.
+56, 1986). The two flips give four parity classes. With the transpose
+the group is D4, of 8 elements: its four 1-d characters (chi = +-1 on
+both flips alike, +-1 on the transpose) are four blocks of about n/8
+nodes, and the odd-x/even-y flip class is a fifth of about n/4. The
+even-x/odd-y class is that block's transpose image, its twin: it is
+never factored, its values are copied from the fifth block and its
+vectors are the fifth block's lifted vectors permuted by the
+transpose. Blocks fill far less than the whole: the h = 1/192 disk's
+L+U holds 7.07M nonzeros whole, 5.14M in the four flip blocks and
+3.25M in the five D4 blocks (0.48-0.50M each, 1.29M for the fifth),
+and one Dirichlet solve there takes 0.59 s against 0.95 s over the
+flip blocks. Each eigenvector, the twin's too, is lifted back and
+residual-checked against the whole operator, and the blocks' spectra
+are merged; a block is solved again for more values when all of its
+values fall inside the merged set. The split values agree with the
+whole solve to round-off: 5e-15 relative on membranes (the unit
+square's Neumann 4.6e-13), 1.5e-10 on the plates, where swapping the
+whole solve's ordering for COLAMD moves them by 1.5e-10; a disk double
+eigenvalue of odd angular order has one copy in the fifth block and
+the other in its twin, so the copies are equal. Operators below
+`_SPLIT_MIN_NODES`, or with no exact flip, are the one-block case of
+the same loop, and an operator on a box that is not square (the
+ellipse, every rectangle but the square) gets at most the flips: the
+disk's and ellipse's Neumann cut-cell fractions differ from their
+mirror images in the last bits, off-lattice rectangles' links are cut
+at different theta on opposite sides, and the L-shape's nodes are not
 flip-invariant.
 
 A parity block's factor is never shared with the buckling solve: kept
@@ -109,16 +124,21 @@ def _factor_spd(matrix):
 
 
 def _flips(op):
-    """The box's x- and y-flips that map the operator's nodes onto themselves and leave its matrices unchanged.
+    """The box's symmetries that map the operator's nodes onto themselves and leave its matrices unchanged.
 
-    Returns [(axis, perm)], perm[k] the row of the mirror image of row k's node.
+    Tries the x- and y-flips (axes 0 and 1) and, on a square box that
+    both of them leave unchanged, the transpose (axis 2), each by the
+    same exact entrywise test. Returns [(axis, perm)], perm[k] the row of
+    the image of row k's node.
     """
     nodes = op.nodes
     index = np.full(nodes.shape, -1)
     index[nodes] = np.arange(op.dim)
     flips = []
-    for axis in (0, 1):
-        perm = np.flip(index, axis)[nodes]
+    for axis, image in enumerate((np.flip(index, 0), np.flip(index, 1), index.T)):
+        if axis == 2 and (len(flips) < 2 or nodes.shape[0] != nodes.shape[1]):
+            break
+        perm = image[nodes]
         if perm.min() >= 0 and all((mat[perm][:, perm] != mat).nnz == 0
                                    for mat in (op.matrix, op.mass) if mat is not None):
             flips.append((axis, perm))
@@ -126,27 +146,40 @@ def _flips(op):
 
 
 def _parity_bases(flips, n):
-    """One orthonormal sparse basis Q (n x n_c) per parity class of the group that ``flips`` generate.
+    """The blocks of the group that ``flips`` generate: one orthonormal sparse basis Q per solved block, and the twins.
 
-    Class c is odd under flip i when bit i of c is set. Its columns are
-    the orbit sums sum_g chi_c(g) e_(g k) over one node k per orbit,
-    normalized; an orbit whose sum vanishes (a node on an odd axis) has
-    no column.
+    Element e of the group applies flip i when bit i of e is set, and
+    class c has the sign (-1)^|e & c| on it. Without the transpose the
+    group is abelian and every class is a block. With it the group is
+    D4, whose 1-d characters have chi(x-flip) = chi(y-flip): the classes
+    0b000, 0b011, 0b100 and 0b111 over all 8 elements. The odd-x/even-y
+    class 0b001 of the flip subgroup is solved as a fifth block, and the
+    even-x/odd-y class is its transpose image, its twin. A block's
+    columns are the orbit sums sum_g chi_c(g) e_(g k) over one node k
+    per orbit, normalized; an orbit whose sum vanishes (a node that an
+    element of sign -1 fixes) has no column.
+
+    Returns (bases, twins), twins [(b, perm)]: a block with block b's
+    values, whose vectors are block b's lifted ones permuted by perm.
     """
     group = [np.arange(n)]
     for _, perm in flips:
-        group += [perm[g] for g in group]  # element e holds flip i when bit i of e is set
-    reps = np.flatnonzero(np.min(group, axis=0) == np.arange(n))
-    rows = np.concatenate([g[reps] for g in group])
-    cols = np.tile(np.arange(reps.size), len(group))
+        group += [perm[g] for g in group]
+    if len(flips) < 3:
+        classes, twins = [(c, len(group)) for c in range(len(group))], []
+    else:
+        classes, twins = [(c, 8) for c in (0b000, 0b011, 0b100, 0b111)] + [(0b001, 4)], [(4, flips[2][1])]
     bases = []
-    for c in range(len(group)):
-        signs = np.repeat([(-1.0) ** (e & c).bit_count() for e in range(len(group))], reps.size)
+    for c, size in classes:  # class c of the subgroup group[:size]
+        reps = np.flatnonzero(np.min(group[:size], axis=0) == np.arange(n))
+        rows = np.concatenate([g[reps] for g in group[:size]])
+        cols = np.tile(np.arange(reps.size), size)
+        signs = np.repeat([(-1.0) ** (e & c).bit_count() for e in range(size)], reps.size)
         u = sparse.csc_matrix((signs, (rows, cols)), shape=(n, reps.size))  # sums an orbit's coincident nodes
         u.eliminate_zeros()
         norm = np.sqrt(u.power(2).sum(axis=0)).A1
         bases.append(u[:, norm > 0.0] @ sparse.diags(1.0 / norm[norm > 0.0]))
-    return bases
+    return bases, twins
 
 
 def _block_eigs(op, q, sigma, k, factors):
@@ -173,11 +206,13 @@ def smallest_eigs(op: DiscreteOperator, m: int, factors: dict | None = None) -> 
     """The m smallest eigenvalues of the (generalized) discrete problem.
 
     An operator of at least `_SPLIT_MIN_NODES` unknowns that a flip of
-    the lattice box leaves exactly unchanged is solved as its parity
-    blocks (`_flips`, `_parity_bases`); any other is the one-block case
-    of the same loop. Each block is asked for ceil(m / blocks) + 2 values
-    (at most m), and a block whose values all lie below the merged m-th
-    one is solved again for m, so the merged spectrum is never a partial
+    the lattice box leaves exactly unchanged is solved as its blocks
+    (`_flips`, `_parity_bases`); any other is the one-block case of the
+    same loop. Each solved block is asked for ceil(m / blocks) + 2
+    values (at most m), blocks counting the twins: ceil(m / 6) + 2 under
+    D4, ceil(m / 4) + 2 under the two flips. A block whose values all
+    lie below the merged m-th one is solved again for m, and its twin
+    copies the new values, so the merged spectrum is never a partial
     one.
 
     Every returned pair, lifted back to the whole operator, is
@@ -201,24 +236,28 @@ def smallest_eigs(op: DiscreteOperator, m: int, factors: dict | None = None) -> 
         # mode (constant vector) still nearest the shift
         sigma = -0.5 * math.pi**2 / op.domain.area_exact
     flips = _flips(op) if n >= _SPLIT_MIN_NODES else []
-    bases = _parity_bases(flips, n) if flips else []
+    bases, twins = _parity_bases(flips, n) if flips else ([], [])
     if min((q.shape[1] for q in bases), default=0) < m + 2:  # a block too small to be asked for m values
-        flips, bases = [], [None]
+        flips, bases, twins = [], [None], []
 
     def solve(c, k):
         # a parity block's factor, like a membrane's, dies with its solve
         return _block_eigs(op, bases[c], sigma, k, {} if factors is None or flips else factors)
 
+    def spectra(blocks):  # the solved blocks' values, then each twin's copy of its source's
+        return [v for v, _ in blocks] + [blocks[b][0] for b, _ in twins]
+
     try:
-        blocks = [solve(c, min(m, math.ceil(m / len(bases)) + 2)) for c in range(len(bases))]
-        mth = np.sort(np.concatenate([v for v, _ in blocks]))[m - 1]
+        blocks = [solve(c, min(m, math.ceil(m / (len(bases) + len(twins))) + 2)) for c in range(len(bases))]
+        mth = np.sort(np.concatenate(spectra(blocks)))[m - 1]
         # a block's unreturned values lie above its largest returned one;
         # a short block solved again for m values can no longer be short
         blocks = [solve(c, m) if len(v) < m and v[-1] < mth else (v, x) for c, (v, x) in enumerate(blocks)]
     except Exception as exc:
         raise SolverError(f"eigsh failed for {op.kind.value} on {op.domain.label}: {exc}") from exc
-    vals = np.concatenate([v for v, _ in blocks])
-    vecs = np.hstack([x if q is None else q @ x for q, (_, x) in zip(bases, blocks)])
+    vals = np.concatenate(spectra(blocks))
+    lifted = [x if q is None else q @ x for q, (_, x) in zip(bases, blocks)]
+    vecs = np.hstack(lifted + [lifted[b][perm] for b, perm in twins])
     order = np.argsort(vals, kind="stable")[:m]
     vals, vecs = vals[order], vecs[:, order]
     scale = _operator_scale(op)

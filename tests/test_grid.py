@@ -197,6 +197,17 @@ class TestCutLinks:
         d = rasterize(Rectangle(1.0 + 1e-9, 1.0), 1.0 / 16.0)
         assert d.dirichlet_diagonal.max() == pytest.approx(3.0 + 1.0 / _THETA_MIN, rel=1e-12)
 
+    @pytest.mark.parametrize("h", [1.0 / 48.0, 1.0 / 64.0, 1.0 / 96.0, 1.0 / 192.0])
+    @pytest.mark.parametrize("shape", [Disk(1.0), Rectangle(1.0, 1.0)], ids=["disk", "unit_square"])
+    def test_square_symmetric_shapes_get_a_square_symmetric_diagonal(self, shape, h):
+        # a node and its image sum the same cut-link terms; summed in link order, the disk's
+        # diagonal was a last bit off its transpose (1.8e-15 at h = 1/64)
+        d = rasterize(shape, h)
+        box = np.zeros(d.mask.shape)
+        box[d.mask] = d.dirichlet_diagonal
+        for image in (box.T, box[::-1], box[:, ::-1]):
+            assert np.array_equal(image, box)
+
     def test_residual_gate_scale_is_the_bulk_stencil(self, monkeypatch):
         h = 1.0 / 64.0
         op = assemble(rasterize(Disk(1.0), h), ProblemKind.DIRICHLET)
@@ -613,26 +624,29 @@ def _whole_solve(op, m):
 
 
 class TestParityBlocks:
-    """Operators that the lattice box's x- and y-flips leave unchanged solve as four parity blocks."""
+    """Operators that the lattice box's flips (and, on a square box, its transpose) leave unchanged solve as blocks."""
 
-    @pytest.mark.parametrize(("shape", "h", "kind", "rtol"), [
+    @pytest.mark.parametrize(("shape", "h", "kind", "axes", "rtol"), [
         # a different factorization of the whole operator (COLAMD for MMD) moves the disk's
         # membrane by 7e-14 and its plates by 1.5e-10, so these bounds are round-off:
-        # measured 4.2e-15 (disk), 1.5e-14 and 5.2e-14 (square), 1.1e-10 (plates)
-        (Disk(1.0), 1.0 / 64.0, ProblemKind.DIRICHLET, 1e-12),
-        (Disk(1.0), 1.0 / 64.0, ProblemKind.CLAMPED, 1e-9),
-        (Disk(1.0), 1.0 / 64.0, ProblemKind.BUCKLING, 1e-9),
-        (Rectangle(1.0, 1.0), 1.0 / 128.0, ProblemKind.DIRICHLET, 1e-12),
-        (Rectangle(1.0, 1.0), 1.0 / 128.0, ProblemKind.NEUMANN, 1e-12),
-    ], ids=["disk-dirichlet", "disk-clamped", "disk-buckling", "square-dirichlet", "square-neumann"])
-    def test_split_matches_the_whole_operator(self, shape, h, kind, rtol):
+        # measured 5.3e-15 (disk), 1.8e-14 and 4.6e-13 (square), 1.3e-14 (ellipse), 1.5e-10 (plates)
+        (Disk(1.0), 1.0 / 64.0, ProblemKind.DIRICHLET, [0, 1, 2], 1e-12),
+        (Disk(1.0), 1.0 / 64.0, ProblemKind.CLAMPED, [0, 1, 2], 1e-9),
+        (Disk(1.0), 1.0 / 64.0, ProblemKind.BUCKLING, [0, 1, 2], 1e-9),
+        (Rectangle(1.0, 1.0), 1.0 / 128.0, ProblemKind.DIRICHLET, [0, 1, 2], 1e-12),
+        (Rectangle(1.0, 1.0), 1.0 / 128.0, ProblemKind.NEUMANN, [0, 1, 2], 1e-12),
+        (CORPUS["ellipse_2to1"], 1.0 / 128.0, ProblemKind.DIRICHLET, [0, 1], 1e-12),  # its box is not square
+    ], ids=["disk-dirichlet", "disk-clamped", "disk-buckling", "square-dirichlet", "square-neumann",
+            "ellipse-dirichlet"])
+    def test_split_matches_the_whole_operator(self, shape, h, kind, axes, rtol):
         op = assemble(rasterize(shape, h), kind)
-        assert op.dim >= solve_module._SPLIT_MIN_NODES and [axis for axis, _ in solve_module._flips(op)] == [0, 1]
+        assert op.dim >= solve_module._SPLIT_MIN_NODES and [axis for axis, _ in solve_module._flips(op)] == axes
         np.testing.assert_allclose(smallest_eigs(op, 11).values, _whole_solve(op, 11), rtol=rtol, atol=0.0)
 
     @pytest.mark.parametrize(("shape", "h", "kind"), [
         (LShape(0.5, 0.5), 1.0 / 128.0, ProblemKind.DIRICHLET),  # its node set is not flip-invariant
-        (CORPUS["rect_2to1"], 1.0 / 128.0, ProblemKind.DIRICHLET),  # theta differs on opposite sides
+        # theta differs on opposite sides, and its box is not square
+        (CORPUS["rect_2to1"], 1.0 / 128.0, ProblemKind.DIRICHLET),
         (Disk(1.0), 1.0 / 64.0, ProblemKind.NEUMANN),  # mirror cut-cell fractions differ in the last bits
     ], ids=["l_shape", "rect_2to1", "disk-neumann"])
     def test_operators_without_an_exact_flip_keep_the_whole_solve(self, shape, h, kind):
@@ -651,27 +665,44 @@ class TestParityBlocks:
 
         monkeypatch.setattr(solve_module, "_block_eigs", first_short)
         got = smallest_eigs(op, 11).values
-        # the fully even block returns only lambda_1, below the merged 11th value, so it is solved for 11
-        assert asked == [5, 5, 5, 5, 11]
+        # five blocks and the twin: each solved block is asked for ceil(11 / 6) + 2 = 4 values; the fully
+        # even block returns only lambda_1, below the merged 11th value, so it is solved for 11
+        assert asked == [4, 4, 4, 4, 4, 11]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    def test_the_twin_block_is_copied_not_solved(self, monkeypatch):
+        op = assemble(rasterize(Disk(1.0), 1.0 / 64.0), ProblemKind.DIRICHLET)
+        real, returned = solve_module._block_eigs, []
+
+        def record(*args):
+            returned.append(real(*args))
+            return returned[-1]
+
+        monkeypatch.setattr(solve_module, "_block_eigs", record)
+        values = smallest_eigs(op, 11).values
+        assert len(returned) == 5
+        # the odd-x/even-y block's values below the 11th (the odd angular orders) each come twice, bit for bit
+        source = [float(v) for v in returned[4][0] if v < values[-1]]
+        assert len(source) >= 3 and all(values.count(v) == 2 for v in source)
 
     @pytest.mark.parametrize("kind", [ProblemKind.DIRICHLET, ProblemKind.CLAMPED])
     def test_disk_double_eigenvalues_keep_their_copies_together(self, kind):
         # the lattice disk's square symmetry pairs the cos and sin modes of odd angular order exactly;
-        # each copy comes from another parity block, and they must stay inside the catalog's 1e-9
-        # degenerate-gap floor (even orders split by O(h^2) on the lattice)
+        # one copy is solved in the odd-x/even-y block and the other is its transpose twin's copy of it,
+        # so the copies are equal (even orders split by O(h^2) on the lattice)
         op = assemble(rasterize(Disk(1.0), 1.0 / 64.0), kind)
         values = np.array(smallest_eigs(op, 11).values)
         gaps = np.diff(values) / values[1:]
         doubles = gaps[gaps < 1e-6]
-        assert doubles.size >= 3 and np.all(doubles <= 1e-9)
+        assert doubles.size >= 3 and np.all(doubles == 0.0)
 
-    @pytest.mark.parametrize(("h", "m"), [(0.25, 1), (0.125, 1), (0.125, 5)])
+    @pytest.mark.parametrize(("h", "m"), [(0.25, 1), (0.125, 1), (0.125, 5), (0.0625, 5)])
     def test_tiny_meshes_solve_with_the_size_rule_off(self, monkeypatch, h, m):
-        # 9 nodes split into blocks of 4, 2, 2 and 1, too small for m + 2, so they stay whole; 49 split
+        # 9 nodes split into solved blocks of 3, 1, 1, 0 and 2, too small for m + 2, so they stay whole;
+        # 49 into 10, 6, 6, 3 and 12, which split for m = 1 and stay whole for m = 5; 225 split for m = 5
         monkeypatch.setattr(solve_module, "_SPLIT_MIN_NODES", 0)
         op = assemble(rasterize(Rectangle(1.0, 1.0), h), ProblemKind.DIRICHLET)
-        assert len(solve_module._flips(op)) == 2
+        assert len(solve_module._flips(op)) == 3
         want = scipy.linalg.eigh(op.matrix.toarray(), eigvals_only=True)[:m]
         np.testing.assert_allclose(smallest_eigs(op, m).values, want, rtol=1e-12)
 
