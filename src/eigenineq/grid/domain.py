@@ -380,14 +380,17 @@ class CellGeometry:
 
 
 def _dual_edges(shape, lo, hi, i, j, di, dj, h):
-    """Inside fraction of each dual edge from corner (i, j) to (i + di, j + dj), and its crossing's offset from (i, j).
+    """Each dual edge's inside fraction, corner (i, j) to (i + di, j + dj), and its crossing's offset from the midpoint.
 
     ``lo`` and ``hi`` say which ends are inside the shape. Where they
     differ, `_cut_fractions` bisects from the inside end toward the
-    outside one; the offset is meaningful only there. The samples
-    (i + t di) h resolve a crossing only to the float spacing at its
-    coordinate, about 4e-15 of an edge near x = 1 at h = 1/32, so the
-    fraction is rounded to 12 decimals: a boundary halfway along an
+    outside one, and the crossing sits theta - 1/2 past the midpoint
+    toward (i + di, j + dj) when (i, j) is inside, 1/2 - theta when it is
+    outside: a mirror image reverses the edge and negates the offset
+    exactly. The offset is meaningful only where the ends differ. The
+    samples (i + t di) h resolve a crossing only to the float spacing
+    at its coordinate, about 4e-15 of an edge near x = 1 at h = 1/32,
+    so theta is rounded to 12 decimals: a boundary halfway along an
     edge, as on a lattice-aligned side, then gives exactly 1/2.
     """
     cut = lo != hi
@@ -397,8 +400,8 @@ def _dual_edges(shape, lo, hi, i, j, di, dj, h):
     aperture = (lo & hi).astype(float)
     aperture[cut] = theta
     offset = np.zeros(cut.shape)
-    offset[cut] = np.where(flip, 1.0 - theta, theta)
-    return aperture, cut, offset
+    offset[cut] = np.where(flip, 0.5 - theta, theta - 0.5)
+    return aperture, offset
 
 
 def _cell_geometry(shape, i0, j0, box, h):
@@ -406,10 +409,19 @@ def _cell_geometry(shape, i0, j0, box, h):
 
     `shape.contains` is sampled at the dual-cell corners ((i0 + a - 1/2) h,
     (j0 + b - 1/2) h), and the boundary is located on every dual edge
-    whose two corners differ (`_dual_edges`). A cell's fraction is the
-    shoelace area of its inside corners and crossings, walked
-    counter-clockwise; a cell cut by a curve loses the segment between
-    the curve and its chord.
+    whose two corners differ (`_dual_edges`). A cell's fraction is its
+    inside area by Green's theorem, 1/2 the closed integral of
+    x dy - y dx in the cell's own coordinates, [-1/2, 1/2]^2: each side
+    adds 1/4 of its aperture, and each chord of the boundary adds 1/2
+    the cross product of its ends. A chord runs from the crossing where
+    a counter-clockwise walk of the sides leaves the shape to the one on
+    the next cut side, where it comes back in; a cell cut by a curve
+    loses the segment between the curve and its chord. The sides are
+    summed as (bottom + top) + (left + right), an order that the
+    lattice's flips and transpose only permute, and they map a chord
+    onto its image walked backwards, whose cross product has the same
+    bits. So a shape that is mirror- or transpose-symmetric on the
+    lattice gets fractions that are too, bit for bit.
     """
     nx, ny = box
     ci = np.arange(nx + 1)[:, None] + (i0 - 0.5)  # half-integers, exact in floating point
@@ -417,24 +429,18 @@ def _cell_geometry(shape, i0, j0, box, h):
     ci, cj = np.broadcast_arrays(ci, cj)
     corner = shape.contains(ci * h, cj * h)
     # dual edges along x (corner (a, b) to (a + 1, b)) and along y ((a, b) to (a, b + 1))
-    ap_h, cut_h, off_h = _dual_edges(shape, corner[:-1], corner[1:], ci[:-1], cj[:-1], 1, 0, h)
-    ap_v, cut_v, off_v = _dual_edges(shape, corner[:, :-1], corner[:, 1:], ci[:, :-1], cj[:, :-1], 0, 1, h)
-    quad = (corner[:-1, :-1], corner[1:, :-1], corner[1:, 1:], corner[:-1, 1:])  # counter-clockwise
-    inside = sum(c.astype(int) for c in quad)
-    fraction = (inside == 4).astype(float)
-    part = (inside > 0) & (inside < 4)
-    # the eight candidate vertices of each cut cell, counter-clockwise from its lower-left corner
-    lo, hi = np.full(part.sum(), -0.5), np.full(part.sum(), 0.5)
-    x = np.stack([lo, off_h[:, :-1][part] - 0.5, hi, hi, hi, off_h[:, 1:][part] - 0.5, lo, lo], axis=-1)
-    y = np.stack([lo, lo, lo, off_v[1:][part] - 0.5, hi, hi, hi, off_v[:-1][part] - 0.5], axis=-1)
-    valid = np.stack([quad[0][part], cut_h[:, :-1][part], quad[1][part], cut_v[1:][part],
-                      quad[2][part], cut_h[:, 1:][part], quad[3][part], cut_v[:-1][part]], axis=-1)
-    # repeat each missing vertex as the next one present: a zero-length edge adds nothing
-    slot = np.arange(8)
-    nxt = np.minimum.accumulate(np.where(valid, slot, 8)[:, ::-1], axis=-1)[:, ::-1]
-    nxt = np.where(nxt == 8, np.argmax(valid, axis=-1)[:, None], nxt)
-    x, y = np.take_along_axis(x, nxt, -1), np.take_along_axis(y, nxt, -1)
-    fraction[part] = 0.5 * np.sum(x * np.roll(y, -1, -1) - np.roll(x, -1, -1) * y, axis=-1)
+    ap_h, off_h = _dual_edges(shape, corner[:-1], corner[1:], ci[:-1], cj[:-1], 1, 0, h)
+    ap_v, off_v = _dual_edges(shape, corner[:, :-1], corner[:, 1:], ci[:, :-1], cj[:, :-1], 0, 1, h)
+    # each cell's corners, and the crossings on the sides that follow them, counter-clockwise from the lower left
+    quad = (corner[:-1, :-1], corner[1:, :-1], corner[1:, 1:], corner[:-1, 1:])
+    x, y = (off_h[:, :-1], 0.5, off_h[:, 1:], -0.5), (-0.5, off_v[1:], 0.5, off_v[:-1])
+    chords = 0.0
+    for s in range(4):
+        a, b, c = (s + 1) % 4, (s + 2) % 4, (s + 3) % 4
+        # where side s leaves the shape, the walk comes back in on the first side after it whose end corner is inside
+        xe, ye = (np.where(quad[b], u[a], np.where(quad[c], u[b], u[c])) for u in (x, y))
+        chords += np.where(quad[s] & ~quad[a], x[s] * ye - y[s] * xe, 0.0)
+    fraction = 0.25 * ((ap_h[:, :-1] + ap_h[:, 1:]) + (ap_v[:-1] + ap_v[1:])) + 0.5 * chords
     return CellGeometry(fraction, ap_v[1:-1], ap_h[:, 1:-1])
 
 

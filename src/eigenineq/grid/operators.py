@@ -22,7 +22,12 @@ rows and columns (`GridDomain.restrict`) and adj = R(ax + ay)
   fraction of the dual edge it crosses; K = diag(W 1) - W is the
   aperture-weighted graph Laplacian, and S = diag(f^(-1/2)) with f the
   cell's inside area fraction, so S K S is the symmetric form of the
-  pencil (K, diag(f)). The zero normal derivative is natural: no
+  pencil (K, diag(f)). Each node's W 1 is read off the four dual edges
+  of its cell as (-x + +x) + (-y + +y), an aperture across a dual edge
+  being positive only between two cut-cell nodes; like the fractions'
+  Green's sum, that order is one the lattice's flips and transpose
+  only permute, so a shape symmetric on the lattice gets an operator
+  that is too, bit for bit. The zero normal derivative is natural: no
   boundary row is written. Bulk cells have f = 1 and apertures 1, the
   5-point stencil.
 - Clamped: (R(L^2) + 2 diag(G) - G) / h^4, the 13-point bi-Laplacian.
@@ -88,15 +93,16 @@ def _neumann(domain):
     """S K S / h^2 on the cut-cell nodes: K = diag(W 1) - W, W the link apertures, S = diag(fraction^(-1/2))."""
     cells = domain.cells
     nx, ny = cells.fraction.shape
-    ax = np.pad(cells.aperture_x, ((0, 1), (0, 0))).ravel()[:-ny]  # flat node k to k + ny
-    ay = np.pad(cells.aperture_y, ((0, 0), (0, 1))).ravel()[:-1]  # flat node k to k + 1
-    upper = sparse.diags([ax, ay], [ny, 1], shape=(nx * ny, nx * ny))
+    ax = np.pad(cells.aperture_x, ((1, 1), (0, 0)))  # node (p, q)'s links to -x and +x: ax[p, q], ax[p + 1, q]
+    ay = np.pad(cells.aperture_y, ((0, 0), (1, 1)))  # and to -y and +y: ay[p, q], ay[p, q + 1]
+    upper = sparse.diags([ax[1:-1].ravel(), ay[:, 1:].ravel()[:-1]], [ny, 1], shape=(nx * ny, nx * ny))
     nodes = _cell_nodes(domain).ravel()
     w = (upper + upper.T).tocsr()[nodes][:, nodes]
     ncomp = connected_components(w, directed=False)[0]
     if ncomp != 1:
         raise RasterizeError(f"cut cells of {domain.label} at h={domain.h} form {ncomp} components")
-    k = (sparse.diags(w.sum(axis=1).A1) - w).tocsr()
+    # W 1 from each cell's four apertures, summed in an order that the lattice's flips and transpose only permute
+    k = (sparse.diags(((ax[:-1] + ax[1:]) + (ay[:, :-1] + ay[:, 1:])).ravel()[nodes]) - w).tocsr()
     s = cells.fraction.ravel()[nodes] ** -0.5
     # entry by entry, k_ij (s_i s_j): the product commutes, so the matrix stays exactly symmetric
     k.data *= s[np.repeat(np.arange(k.shape[0]), np.diff(k.indptr))] * s[k.indices]

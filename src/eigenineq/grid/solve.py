@@ -24,22 +24,23 @@ COLAMD column ordering, and the factor is handed to ARPACK as the
 shift-invert operator. The eigenpairs are still residual-checked
 against the unfactored operator.
 
-The disk, the ellipse and the unit square sit mirror-symmetric on the
-lattice, and their Dirichlet, clamped and buckling matrices (and the
-unit square's Neumann one) are left entrywise unchanged by the x- and
-y-flips of the padded box; on the disk's and the square's square box,
-by its transpose x <-> y too. `smallest_eigs` finds those symmetries
-(`_flips`) and solves such an operator as blocks Q^T A Q, with Q^T B Q
-for buckling, each Q an orthonormal basis of orbit sums
-(`_parity_bases`; Fassler & Stiefel, Group Theoretical Methods and
-Their Applications, 1992; Bossavit, Comput. Methods Appl. Mech. Engrg.
-56, 1986). The two flips give four parity classes. With the transpose
-the group is D4, of 8 elements: its four 1-d characters (chi = +-1 on
-both flips alike, +-1 on the transpose) are four blocks of about n/8
-nodes, and the odd-x/even-y flip class is a fifth of about n/4. The
-even-x/odd-y class is that block's transpose image, its twin: it is
-never factored, its values are copied from the fifth block and its
-vectors are the fifth block's lifted vectors permuted by the
+The disk, the ellipse, the annulus and the unit square sit
+mirror-symmetric on the lattice, and all four of their matrices are
+left entrywise unchanged by the x- and y-flips of the padded box; on a
+square box (the disk's, the annulus' and the square's) by its
+transpose x <-> y too, and the L-shape's by the transpose alone.
+`smallest_eigs` finds those symmetries (`_flips`) and solves such an
+operator as blocks Q^T A Q, with Q^T B Q for buckling, each Q an
+orthonormal basis of orbit sums (`_parity_bases`; Fassler & Stiefel,
+Group Theoretical Methods and Their Applications, 1992; Bossavit,
+Comput. Methods Appl. Mech. Engrg. 56, 1986). The two flips give four
+parity classes, the transpose alone two. With the flips and the
+transpose the group is D4, of 8 elements: its four 1-d characters
+(chi = +-1 on both flips alike, +-1 on the transpose) are four blocks
+of about n/8 nodes, and the odd-x/even-y flip class is a fifth of
+about n/4. The even-x/odd-y class is that block's transpose image, its
+twin: it is never factored, its values are copied from the fifth block
+and its vectors are the fifth block's lifted vectors permuted by the
 transpose. Blocks fill far less than the whole: the h = 1/192 disk's
 L+U holds 7.07M nonzeros whole, 5.14M in the four flip blocks and
 3.25M in the five D4 blocks (0.48-0.50M each, 1.29M for the fifth),
@@ -48,18 +49,18 @@ flip blocks. Each eigenvector, the twin's too, is lifted back and
 residual-checked against the whole operator, and the blocks' spectra
 are merged; a block is solved again for more values when all of its
 values fall inside the merged set. The split values agree with the
-whole solve to round-off: 5e-15 relative on membranes (the unit
-square's Neumann 4.6e-13), 1.5e-10 on the plates, where swapping the
-whole solve's ordering for COLAMD moves them by 1.5e-10; a disk double
-eigenvalue of odd angular order has one copy in the fifth block and
-the other in its twin, so the copies are equal. Operators below
-`_SPLIT_MIN_NODES`, or with no exact flip, are the one-block case of
-the same loop, and an operator on a box that is not square (the
-ellipse, every rectangle but the square) gets at most the flips: the
-disk's and ellipse's Neumann cut-cell fractions differ from their
-mirror images in the last bits, off-lattice rectangles' links are cut
-at different theta on opposite sides, and the L-shape's nodes are not
-flip-invariant.
+whole solve to round-off: 5e-15 relative on the Dirichlet membranes,
+1.5e-13 on the cut-cell Neumann ones (4.6e-13 on the unit square's,
+5.1e-13 on the h = 1/128 disk's), 1.5e-10 on the plates, where
+swapping the whole solve's ordering for COLAMD moves them by 1.5e-10;
+a disk double eigenvalue of odd angular order has one copy in the
+fifth block and the other in its twin, so the copies are equal. Only
+operators below `_SPLIT_MIN_NODES`, and those whose shape is not
+symmetric on the lattice (the off-lattice rectangles, whose links are
+cut at different theta on opposite sides, and generic polygons), are
+the one-block case of the same loop. An operator on a box that is not
+square (the ellipse, every rectangle but the square) gets at most the
+flips.
 
 A parity block's factor is never shared with the buckling solve: kept
 alive across the clamped and buckling solves, the four block factors
@@ -126,17 +127,18 @@ def _factor_spd(matrix):
 def _flips(op):
     """The box's symmetries that map the operator's nodes onto themselves and leave its matrices unchanged.
 
-    Tries the x- and y-flips (axes 0 and 1) and, on a square box that
-    both of them leave unchanged, the transpose (axis 2), each by the
-    same exact entrywise test. Returns [(axis, perm)], perm[k] the row of
-    the image of row k's node.
+    Tries the x- and y-flips (axes 0 and 1) and, on a square box, the
+    transpose (axis 2), each by the same exact entrywise test, so a
+    shape that is symmetric about the diagonal only (the L-shape) gets
+    the transpose alone. Returns [(axis, perm)], perm[k] the row of the
+    image of row k's node.
     """
     nodes = op.nodes
     index = np.full(nodes.shape, -1)
     index[nodes] = np.arange(op.dim)
     flips = []
     for axis, image in enumerate((np.flip(index, 0), np.flip(index, 1), index.T)):
-        if axis == 2 and (len(flips) < 2 or nodes.shape[0] != nodes.shape[1]):
+        if axis == 2 and nodes.shape[0] != nodes.shape[1]:
             break
         perm = image[nodes]
         if perm.min() >= 0 and all((mat[perm][:, perm] != mat).nnz == 0
@@ -149,9 +151,10 @@ def _parity_bases(flips, n):
     """The blocks of the group that ``flips`` generate: one orthonormal sparse basis Q per solved block, and the twins.
 
     Element e of the group applies flip i when bit i of e is set, and
-    class c has the sign (-1)^|e & c| on it. Without the transpose the
-    group is abelian and every class is a block. With it the group is
-    D4, whose 1-d characters have chi(x-flip) = chi(y-flip): the classes
+    class c has the sign (-1)^|e & c| on it. With fewer than three
+    flips (the two flips, or the transpose alone) the group is abelian
+    and every class is a block. With all three it is D4, whose 1-d
+    characters have chi(x-flip) = chi(y-flip): the classes
     0b000, 0b011, 0b100 and 0b111 over all 8 elements. The odd-x/even-y
     class 0b001 of the flip subgroup is solved as a fifth block, and the
     even-x/odd-y class is its transpose image, its twin. A block's
@@ -210,7 +213,8 @@ def smallest_eigs(op: DiscreteOperator, m: int, factors: dict | None = None) -> 
     (`_flips`, `_parity_bases`); any other is the one-block case of the
     same loop. Each solved block is asked for ceil(m / blocks) + 2
     values (at most m), blocks counting the twins: ceil(m / 6) + 2 under
-    D4, ceil(m / 4) + 2 under the two flips. A block whose values all
+    D4, ceil(m / 4) + 2 under the two flips and ceil(m / 2) + 2 under
+    one symmetry. A block whose values all
     lie below the merged m-th one is solved again for m, and its twin
     copies the new values, so the merged spectrum is never a partial
     one.

@@ -257,6 +257,67 @@ class TestCutCells:
         assert abs(k).max() >= 1.0
         np.testing.assert_allclose(k @ np.ones(f.size), 0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("name", list(CORPUS))
+    def test_stiffness_diagonal_sums_the_links_between_cells(self, name):
+        # K's diagonal adds the four apertures around each cell, so it is W 1 only if every aperture
+        # it adds links two Neumann nodes; h is a power of 2, so A h^2 / (s_i s_j) recovers K to an ulp
+        h = 1.0 / 32.0
+        d = rasterize(CORPUS[name], h)
+        s = d.cells.fraction[d.cells.fraction > 0.0] ** -0.5
+        a = assemble(d, ProblemKind.NEUMANN).matrix.tocoo()
+        k = a.data * h**2 / (s[a.row] * s[a.col])
+        off = a.row != a.col
+        w_sum = np.bincount(a.row[off], -k[off], minlength=s.size)
+        np.testing.assert_allclose(k[~off][np.argsort(a.row[~off])], w_sum, rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("h", [1.0 / 48.0, 1.0 / 64.0, 1.0 / 96.0, 1.0 / 192.0])
+    @pytest.mark.parametrize(("shape", "square"), [(Disk(1.0), True), (Annulus(0.5, 1.0), True),
+                                                   (CORPUS["ellipse_2to1"], False)],
+                             ids=["disk", "annulus", "ellipse_2to1"])
+    def test_symmetric_shapes_get_symmetric_cells(self, shape, square, h):
+        # summed as a vertex walk from each cell's lower-left corner, the disk's fractions were up to
+        # 3.8e-15 off their mirror images at h = 1/64
+        cells = rasterize(shape, h).cells
+        f, ax, ay = cells.fraction, cells.aperture_x, cells.aperture_y
+        for flip in (np.s_[::-1], np.s_[:, ::-1]):
+            assert np.array_equal(f[flip], f) and np.array_equal(ax[flip], ax) and np.array_equal(ay[flip], ay)
+        if square:
+            assert np.array_equal(f.T, f) and np.array_equal(ax.T, ay)
+
+    def test_a_cell_with_one_inside_corner_is_a_right_triangle(self):
+        # the line through (0.1, -0.5) and (-0.5, -0.2) cuts the bottom of the cell [-1/2, 1/2]^2 at
+        # theta = 0.6 from its lower-left corner, the one corner inside, and the left side at theta = 0.3
+        # (located to the 1e-12 band within which `Polygon.contains` counts a point as on an edge)
+        cells = domain_module._cell_geometry(Polygon(((-3.0, -3.0), (1.3, -1.1), (-1.7, 0.4))), -1, -1, (3, 3), 1.0)
+        bottom, left = cells.aperture_y[1, 0], cells.aperture_x[0, 1]
+        assert (bottom, left) == (pytest.approx(0.6, abs=1e-10), pytest.approx(0.3, abs=1e-10))
+        assert cells.fraction[1, 1] == pytest.approx(0.5 * bottom * left, rel=0.0, abs=2.2e-16)
+
+    # the saddle cells (two opposite corners inside, two outside) of _SPIKE as (p, q, fraction) on the padded
+    # box, from the shoelace vertex walk that the Green's form replaced: with that walk in `_cell_geometry`,
+    # `[(int(p), int(q), float(d.cells.fraction[p, q])) for p, q in zip(*np.nonzero(saddle))]`, for d and
+    # saddle as in the test below, printed these lists at h = 1/8, 1/16 and 1/24
+    _SPIKE = Polygon(((0, 0), (0.5, 0), (0.5, 0.47), (1, 0.97), (0.97, 1), (0.47, 0.5), (0, 0.5)))
+    _SADDLES = {
+        8: [(6, 6, 0.61999999997908)] + [(p, p, 0.42239999997568) for p in range(7, 10)],
+        16: [(10, 10, 0.73999999996632)] + [(p, p, 0.72959999996672) for p in range(11, 18)],
+        24: [(p, p, 0.9215999999731199) for p in range(14, 26)],
+    }
+
+    @pytest.mark.parametrize("steps", list(_SADDLES))
+    def test_saddle_cells_keep_the_vertex_walk_fractions(self, steps):
+        # a saddle cell has two chords, each from the side where the walk leaves the shape to the next cut side
+        h = 1.0 / steps
+        d = rasterize(self._SPIKE, h)
+        nx, ny = d.cells.fraction.shape
+        c = self._SPIKE.contains((np.arange(nx + 1)[:, None] + d.i0 - 1.5) * h,
+                                 (np.arange(ny + 1)[None, :] + d.j0 - 1.5) * h)
+        saddle = (c[:-1, :-1] == c[1:, 1:]) & (c[1:, :-1] == c[:-1, 1:]) & (c[:-1, :-1] != c[1:, :-1])
+        p, q = np.nonzero(saddle)
+        pinned = np.array(self._SADDLES[steps])
+        assert np.array_equal(p, pinned[:, 0]) and np.array_equal(q, pinned[:, 1])
+        np.testing.assert_allclose(d.cells.fraction[p, q], pinned[:, 2], rtol=0.0, atol=2.2e-16)
+
     @pytest.mark.parametrize("shape", [CORPUS["disk"], CORPUS["ellipse_2to1"], CORPUS["l_shape"],
                                        Polygon(((0.05, 0.02), (1.3, 0.2), (1.0, 0.9), (0.2, 0.7)))],
                              ids=["disk", "ellipse_2to1", "l_shape", "acute_quad"])
@@ -636,23 +697,40 @@ class TestParityBlocks:
         (Rectangle(1.0, 1.0), 1.0 / 128.0, ProblemKind.DIRICHLET, [0, 1, 2], 1e-12),
         (Rectangle(1.0, 1.0), 1.0 / 128.0, ProblemKind.NEUMANN, [0, 1, 2], 1e-12),
         (CORPUS["ellipse_2to1"], 1.0 / 128.0, ProblemKind.DIRICHLET, [0, 1], 1e-12),  # its box is not square
+        # measured 1.5e-13 (disk) and 1.1e-13 (ellipse) on the cut-cell Neumann operators
+        (Disk(1.0), 1.0 / 64.0, ProblemKind.NEUMANN, [0, 1, 2], 1e-12),
+        (CORPUS["ellipse_2to1"], 1.0 / 128.0, ProblemKind.NEUMANN, [0, 1], 1e-12),
+        # the L-shape's node set is not flip-invariant, but it is transpose-invariant: two blocks, no twin
+        (LShape(0.5, 0.5), 1.0 / 128.0, ProblemKind.DIRICHLET, [2], 1e-12),
+        (LShape(0.5, 0.5), 1.0 / 128.0, ProblemKind.CLAMPED, [2], 1e-9),
     ], ids=["disk-dirichlet", "disk-clamped", "disk-buckling", "square-dirichlet", "square-neumann",
-            "ellipse-dirichlet"])
+            "ellipse-dirichlet", "disk-neumann", "ellipse-neumann", "l_shape-dirichlet", "l_shape-clamped"])
     def test_split_matches_the_whole_operator(self, shape, h, kind, axes, rtol):
         op = assemble(rasterize(shape, h), kind)
         assert op.dim >= solve_module._SPLIT_MIN_NODES and [axis for axis, _ in solve_module._flips(op)] == axes
         np.testing.assert_allclose(smallest_eigs(op, 11).values, _whole_solve(op, 11), rtol=rtol, atol=0.0)
 
     @pytest.mark.parametrize(("shape", "h", "kind"), [
-        (LShape(0.5, 0.5), 1.0 / 128.0, ProblemKind.DIRICHLET),  # its node set is not flip-invariant
         # theta differs on opposite sides, and its box is not square
         (CORPUS["rect_2to1"], 1.0 / 128.0, ProblemKind.DIRICHLET),
-        (Disk(1.0), 1.0 / 64.0, ProblemKind.NEUMANN),  # mirror cut-cell fractions differ in the last bits
-    ], ids=["l_shape", "rect_2to1", "disk-neumann"])
+        (Polygon(((0.05, 0.02), (1.3, 0.2), (1.0, 0.9), (0.2, 0.7))), 1.0 / 128.0, ProblemKind.DIRICHLET),
+    ], ids=["rect_2to1", "acute_quad"])
     def test_operators_without_an_exact_flip_keep_the_whole_solve(self, shape, h, kind):
         op = assemble(rasterize(shape, h), kind)
         assert op.dim >= solve_module._SPLIT_MIN_NODES and solve_module._flips(op) == []
         assert smallest_eigs(op, 11).values == _whole_solve(op, 11)
+
+    def test_annulus_neumann_double_eigenvalue_keeps_both_copies(self):
+        # solved whole, ARPACK stopped before the second copy of 40.159172 grew and returned it once, then
+        # 40.843282; its D4 blocks hold one copy each in the odd-x/even-y block and its twin
+        op = assemble(rasterize(Annulus(0.5, 1.0), 1.0 / 64.0), ProblemKind.NEUMANN)
+        assert op.dim >= solve_module._SPLIT_MIN_NODES and len(solve_module._flips(op)) == 3
+        values = smallest_eigs(op, 11).values
+        sigma = -0.5 * math.pi**2 / op.domain.area_exact
+        v0 = np.random.default_rng(solve_module._SEED).standard_normal(op.dim)
+        converged = np.sort(eigsh(op.matrix, k=20, sigma=sigma, which="LM", v0=v0, tol=0)[0])[:11]
+        np.testing.assert_allclose(values[1:], converged[1:], rtol=1e-12, atol=0.0)
+        assert values[-2] == values[-1] == pytest.approx(40.159172, rel=1e-7)
 
     def test_a_short_block_is_solved_again(self, monkeypatch):
         op = assemble(rasterize(Disk(1.0), 1.0 / 64.0), ProblemKind.DIRICHLET)
